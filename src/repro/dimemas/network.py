@@ -165,20 +165,26 @@ class Network:
                 lambda: transfer._fire_arrived(self.loop.now),
             )
             return
-        # Fast path: nothing queued ahead and resources free — start
-        # immediately without the FIFO rescan.
-        if not self._queue and self._resources_free(transfer):
-            self._start(transfer)
+        self._enqueue(transfer)
+        if self.insight is not None and transfer.start_time is None:
+            # Queued: some resource is genuinely exhausted for it.
+            self.insight.note_queued(
+                now, transfer, self._queue_cause(transfer),
+                len(self._queue),
+            )
+
+    def _enqueue(self, t: Transfer) -> None:
+        """Start ``t`` at once or append it to the queue, in O(1).
+
+        The queue is settled (see :meth:`_try_start`): every queued
+        transfer is blocked, and only a release can unblock one.  So
+        starting ``t`` cannot overtake an earlier transfer that could
+        have started, and appending it keeps the queue settled.
+        """
+        if self._resources_free(t):
+            self._start(t)
         else:
-            self._queue.append(transfer)
-            self._try_start()
-            if self.insight is not None and transfer.start_time is None:
-                # Still queued after the FIFO scan settled: some
-                # resource is genuinely exhausted for this transfer.
-                self.insight.note_queued(
-                    now, transfer, self._queue_cause(transfer),
-                    len(self._queue),
-                )
+            self._queue.append(t)
 
     # ------------------------------------------------------------------ #
     def _queue_cause(self, t: Transfer) -> str:
@@ -204,22 +210,39 @@ class Network:
         )
 
     def _try_start(self) -> None:
-        """Start every queued transfer whose resources are all free.
+        """Settle the queue: start every queued transfer whose bus,
+        output port and input port are all free.
 
-        FIFO scan: earlier-queued transfers get first pick; a later
-        transfer only jumps ahead when it needs *different* ports (the
-        bus pool being shared, bus exhaustion blocks everyone).
+        Invariant: after every settle no queued transfer has all three
+        resources free.  Only a release frees resources, and every
+        release settles, so the queue stays settled in between — which
+        is what lets :meth:`_enqueue` test the newcomer alone.
+
+        One forward FIFO pass suffices: starting a transfer only
+        consumes resources, so an entry skipped earlier in the pass is
+        still blocked.  Earlier-queued transfers get first pick; a later
+        one only jumps ahead when it needs *different* ports.  The pass
+        stops once the shared bus pool is exhausted, since that blocks
+        everyone.
         """
+        if self._free_buses < 1:
+            return
         queue = self._queue
-        started_any = True
-        while started_any and queue:
-            started_any = False
-            for i, t in enumerate(queue):
-                if self._resources_free(t):
-                    del queue[i]
-                    self._start(t)
-                    started_any = True
-                    break
+        free_out = self._free_out
+        free_in = self._free_in
+        i, n = 0, len(queue)
+        while i < n:
+            t = queue[i]
+            if free_out[t.src] >= 1 and free_in[t.dst] >= 1:
+                # Removed before _start so the insight ``queued`` count
+                # excludes the transfer being started.
+                del queue[i]
+                n -= 1
+                self._start(t)
+                if self._free_buses < 1:
+                    return
+            else:
+                i += 1
 
     def _start(self, t: Transfer) -> None:
         self._free_buses -= 1
@@ -253,6 +276,9 @@ class Network:
                 self.loop.now, self._active, len(self._queue)
             )
         loop = self.loop
+        # Injection callbacks run before the settle below, while the
+        # queue may be unsettled, so they must not submit (the replay
+        # subscribes only to arrivals, which fire as later events).
         t._fire_injected(loop.now)
         loop.at(loop.now + self._latency, lambda: t._fire_arrived(loop.now))
         if self._queue:
@@ -362,7 +388,7 @@ class PerturbedNetwork(Network):
                     break
             if nxt is not None and nxt[0] <= t:
                 # Retry landed inside a reset window (fresh starts are
-                # blocked by _resources_free, so only retries get here).
+                # blocked by _try_start, so only retries get here).
                 t = nxt[1]
                 continue
             finish = self._integrate(t, occupancy)
@@ -392,25 +418,28 @@ class PerturbedNetwork(Network):
             return
         super().submit(transfer)
 
-    def _resources_free(self, t: Transfer) -> bool:
-        if self._outage_spans and self._outage_until(self.loop.now) is not None:
-            return False
-        return super()._resources_free(t)
-
     def _queue_cause(self, t: Transfer) -> str:
         if self._outage_spans and self._outage_until(self.loop.now) is not None:
             return "perturbation"
         return super()._queue_cause(t)
 
+    def _enqueue(self, t: Transfer) -> None:
+        # An outage ends with no release, so the queue may be unsettled
+        # when a transfer arrives at the instant it lifts (before the
+        # wake-up fires): settle the whole queue, FIFO, every time.
+        self._queue.append(t)
+        self._try_start()
+
     def _try_start(self) -> None:
-        super()._try_start()
-        if self._queue:
-            until = self._outage_until(self.loop.now)
-            if until is not None and until not in self._woken:
-                # Nothing else is guaranteed to poke the queue while the
-                # link is down — wake it the instant the outage lifts.
-                self._woken.add(until)
-                self.loop.at(until, self._try_start)
+        until = self._outage_until(self.loop.now)
+        if until is None:
+            super()._try_start()
+        elif self._queue and until not in self._woken:
+            # No transfer may start during an outage, and nothing else
+            # is guaranteed to poke the queue while the link is down —
+            # wake it the instant the outage lifts.
+            self._woken.add(until)
+            self.loop.at(until, self._try_start)
 
     def _start(self, t: Transfer) -> None:
         self._free_buses -= 1
