@@ -1,24 +1,22 @@
 """Grid dispatch benchmark: serial cold vs parallel cold vs warm.
 
 The historical failure mode this benchmark guards is the *parallel
-cold path*: before columnar dispatch, every worker re-traced and
-re-transformed the application per grid point, so ``jobs=4`` on a cold
-cache ran ~6x slower than plain serial replay.  With the packed
-columnar codec the parent traces once, ships the encoded columns to
-the pool, and workers replay straight from the columns — so parallel
-cold must now be *at most comparable* to serial cold, and parallel
-warm must be a pure cache read.
+cold path*: an early engine re-traced and re-transformed the
+application per grid point in every worker, so ``jobs=4`` on a cold
+cache ran ~6x slower than plain serial replay.  Workers now take whole
+``(experiment, variant)`` batches and trace, transform and replay each
+variant once, so parallel cold must be *at most comparable* to serial
+cold, and parallel warm must be a pure cache read.
 
 Four measurements, written to ``BENCH_grid.json``:
 
 * **serial cold** — ``jobs=1``, fresh cache: the reference path, same
   cache configuration as the parallel runs so only ``jobs`` differs;
-* **parallel cold** — ``jobs=N``, fresh cache: trace once, ship
-  columns, replay in the pool, persist everything;
+* **parallel cold** — ``jobs=N``, fresh cache: trace, transform and
+  replay in the pool, persist everything;
 * **parallel warm** — same cache, second run: spec->digest index plus
   duration sidecars, no tracing and no simulation;
-* **dispatch overhead** — what shipping cost: per-point preparation
-  seconds and the ship/spec/batch counters from the engine.
+* **dispatch overhead** — how many worker batches the cold run sent.
 
 Every run must produce bitwise-identical duration lists
 (``durations_identical``) — the engine and codec change wall-clock
@@ -57,11 +55,7 @@ from repro.obs import get_registry
 GRID_BANDWIDTHS = (None, 31.25, 62.5, 125.0, 250.0, 500.0)
 
 #: Engine dispatch counters reported as overhead evidence.
-DISPATCH_COUNTERS = (
-    "engine.dispatch.ship_points",
-    "engine.dispatch.spec_points",
-    "engine.dispatch.batches",
-)
+DISPATCH_COUNTERS = ("engine.dispatch.batches",)
 
 
 def run_grid(
@@ -82,21 +76,12 @@ def run_grid(
 
 
 def dispatch_overhead(before: dict, after: dict) -> dict:
-    """Delta of the engine.dispatch.* instruments across one run."""
-    out = {}
-    for name in DISPATCH_COUNTERS:
-        out[name.rsplit(".", 1)[1]] = (
+    """Delta of the engine.dispatch.* counters across one run."""
+    return {
+        name.rsplit(".", 1)[1]:
             after["counters"].get(name, 0) - before["counters"].get(name, 0)
-        )
-    hist_before = before["histograms"].get(
-        "engine.dispatch.prep_seconds", {"count": 0})
-    hist_after = after["histograms"].get(
-        "engine.dispatch.prep_seconds", {"count": 0})
-    out["prep_seconds"] = (
-        hist_after.get("sum", 0.0) - hist_before.get("sum", 0.0)
-    )
-    out["prep_count"] = hist_after["count"] - hist_before["count"]
-    return out
+        for name in DISPATCH_COUNTERS
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -133,9 +118,7 @@ def main(argv: list[str] | None = None) -> int:
             dc, tc = run_grid(apps, args.nranks, jobs=args.jobs,
                               cache_dir=cache_dir)
             oh = dispatch_overhead(snap_before, reg.snapshot())
-            print(f"    {tc:.2f} s "
-                  f"(shipped {oh['ship_points']} points in "
-                  f"{oh['batches']} batches, prep {oh['prep_seconds']:.2f} s)")
+            print(f"    {tc:.2f} s ({oh['batches']} batches)")
 
             print(f"  grid, parallel warm cache (jobs={args.jobs}) ...",
                   flush=True)

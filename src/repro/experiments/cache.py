@@ -5,23 +5,25 @@ the same three traces dozens of times (every bandwidth-bisection step,
 every bus count).  Three content-addressed directory caches make both
 costs one-time:
 
-* :class:`TraceCache` persists original traces as packed columnar
-  ``.rct`` files (:mod:`repro.trace.columnar`) keyed by a content hash
-  of (application, parameters, scale, tracer settings, package
-  version);
-* :class:`TraceStore` is the digest-addressed twin used by the
-  parallel engine's zero-copy dispatch: the parent publishes each
-  trace's compact encoding once, and every worker decodes it straight
-  into the replay plan — no record objects, no re-serialization;
+* :class:`TraceCache` persists original traces, profiles included, as
+  packed columnar ``.rct`` files (:mod:`repro.trace.columnar`) keyed by
+  a content hash of (application, parameters, scale, tracer settings,
+  package version);
 * :class:`SimResultCache` persists replay results as ``.json`` files
   keyed by a content hash of the *trace itself* plus the full
   :class:`~repro.dimemas.machine.MachineConfig`, so a repeated grid
   point is free across processes and sessions.  Each result also
   publishes a one-line ``.dur`` sidecar carrying just the simulated
   makespan, so duration-only consumers (bandwidth bisection, sweeps)
-  answer warm hits without parsing the full result envelope.
+  answer warm hits without parsing the full result envelope.  An
+  index maps each experiment spec to its trace digest;
+* :class:`TraceStore` is the result cache's column store
+  (``<replays>/columns``): the profile-free packed columns of every
+  trace variant a process built, named by content digest.  With the
+  index it lets any process — a pool worker, a later session — replay
+  a known spec on a new platform without tracing or transforming.
 
-Both caches publish atomically (write to a per-process unique temp
+The caches publish atomically (write to a per-process unique temp
 name, then :meth:`~pathlib.Path.replace`), so concurrent workers of the
 parallel experiment engine can share one cache directory: when two
 processes build the same key, both writes succeed and the last rename
@@ -244,7 +246,8 @@ def _sweep_orphan_tmps(directory: Path) -> int:
 def sweep_cache_dir(cache_dir: str | Path) -> int:
     """Remove leftover staging files under a cache root (interrupt path).
 
-    Sweeps the ``traces`` and ``replays`` subdirectories for staging
+    Sweeps the ``traces`` and ``replays`` subdirectories (and the
+    result cache's ``replays/columns`` store) for staging
     files of dead writers *and* of the calling process itself — after a
     Ctrl-C or SIGTERM the caller's own half-written staging file is
     garbage too.  Also applies the quarantine retention policy to each
@@ -254,7 +257,8 @@ def sweep_cache_dir(cache_dir: str | Path) -> int:
     root = Path(cache_dir)
     removed = 0
     own = {str(os.getpid()), _writer_token()}
-    for sub in (root / "traces", root / "replays", root / "dispatch"):
+    for sub in (root / "traces", root / "replays",
+                root / "replays" / "columns"):
         if not sub.is_dir():
             continue
         qdir = sub / "quarantine"
@@ -421,7 +425,7 @@ def trace_digest(trace: "TraceSet | ColumnarTrace") -> str:
     Memoized per trace object through :func:`columnar_of`: one packing
     pays for every replay cache lookup against that trace.  The digest
     is the same one :class:`~repro.trace.columnar.ColumnarTrace`
-    reports, so the result cache, the replay-plan LRU, and the dispatch
+    reports, so the result cache, the replay-plan LRU, and the column
     store all agree on trace identity.
     """
     return columnar_of(trace).digest
@@ -510,7 +514,7 @@ class TraceCache(_DegradableCache):
         """Publish in a background thread; the encode of a large trace
         (profiles dominate: tens of MB for hundreds of KB of records)
         and its disk write would otherwise sit on the caller's critical
-        path — during parallel dispatch, serially in the parent.  Reads
+        path, between the replays of a serial grid.  Reads
         are served from :attr:`_pending` until the file lands, and
         :meth:`flush` joins stragglers before anything enumerates the
         directory.  Threads are non-daemon, so process exit (and the
@@ -573,16 +577,16 @@ class TraceCache(_DegradableCache):
 class TraceStore(_DegradableCache):
     """Digest-addressed store of packed columnar traces.
 
-    The dispatch half of the parallel engine's zero-copy path: the
-    parent :meth:`put`\\ s each distinct trace's encoding exactly once
-    (the name *is* the content digest, so re-publishing is a no-op),
-    and workers :meth:`get` it back as a
+    The column store of :class:`SimResultCache`: whoever builds a trace
+    variant :meth:`put`\\ s its encoding once (the name *is* the content
+    digest, so re-publishing is a no-op), and any process that knows
+    the digest from the spec index :meth:`get`\\ s it back as a
     :class:`~repro.trace.columnar.ColumnarTrace` ready to replay.
-    Decoded traces are held in a small per-process LRU so a worker
+    Decoded traces are held in a small per-process LRU so a process
     replaying many platform variations of one trace decodes it once.
     """
 
-    METRIC_PREFIX = "cache.dispatch"
+    METRIC_PREFIX = "cache.columns"
 
     #: Decoded-trace LRU bound — a worker typically cycles through a
     #: handful of (app, variant) traces per campaign.
@@ -606,9 +610,8 @@ class TraceStore(_DegradableCache):
 
         Idempotent and concurrency-safe: equal content encodes to equal
         bytes under equal names, so racing writers are harmless.  When
-        the store is degraded the trace is held in memory — only this
-        process can read it back, which callers detect via
-        :attr:`degraded` and fall back to spec-based dispatch.
+        the store is degraded the trace is held in memory, where only
+        this process can read it back.
         """
         digest = col.digest
         if digest in self._lru or digest in self._mem:
@@ -624,9 +627,10 @@ class TraceStore(_DegradableCache):
     def get(self, digest: str) -> ColumnarTrace | None:
         """The stored trace under ``digest``, or None.
 
-        A corrupt entry is quarantined and reported as absent — the
-        caller re-dispatches by spec, so dispatch-store damage costs
-        time, never correctness.
+        A corrupt entry, or one whose decoded content digest is not the
+        name it was stored under, is quarantined and reported as absent
+        — the caller traces the spec again, so store damage costs time,
+        never correctness.
         """
         hit = self._lru.get(digest)
         if hit is None:
@@ -650,6 +654,10 @@ class TraceStore(_DegradableCache):
             col = _columnar_decode(data)
         except ColumnarFormatError as exc:
             _quarantine(path, f"corrupt columnar entry: {exc}")
+            self._count("misses")
+            return None
+        if col.digest != digest:
+            _quarantine(path, f"content digest {col.digest} != entry name")
             self._count("misses")
             return None
         self._lru[digest] = col
@@ -689,6 +697,7 @@ class SimResultCache(_DegradableCache):
     def __init__(self, directory: str | Path):
         self._init_store(directory)
         self._mem_digests: dict[str, str] = {}
+        self._columns: TraceStore | None = None
         #: Mirrored into the metrics registry under ``cache.replay.*``.
         self.hits = 0
         self.misses = 0
@@ -925,12 +934,26 @@ class SimResultCache(_DegradableCache):
         if not self._publish(self.directory / f"{spec_key}.digest", digest):
             self._mem_digests[spec_key] = digest
 
+    @property
+    def columns(self) -> TraceStore:
+        """The column store behind the index (``<directory>/columns``).
+
+        Opened on first use, so a warm lookup — index plus sidecar —
+        never touches it.
+        """
+        if self._columns is None:
+            self._columns = TraceStore(self.directory / "columns")
+        return self._columns
+
     def clear(self) -> int:
-        """Delete all cached results (and the spec->digest index);
-        returns how many results were removed."""
+        """Delete all cached results, the spec->digest index and the
+        column store; returns how many results were removed."""
         n = len(self._mem)
         self._mem.clear()
         self._mem_digests.clear()
+        self._columns = None
+        for p in (self.directory / "columns").glob("*.rct"):
+            p.unlink()
         if self.directory.is_dir():
             for p in self.directory.glob("*.json"):
                 p.unlink()

@@ -8,10 +8,16 @@ module turns that grid into a schedulable unit:
 * :class:`GridPoint` — one fully-described replay: ``(app, variant,
   bandwidth, buses, latency, chunks, nranks, app_params, machine)``;
 * :class:`ExperimentEngine` — runs grids serially (``jobs=1``) or on a
-  process pool (``jobs=N``), with per-process experiment reuse and
-  optional on-disk caches (:class:`~repro.experiments.cache.TraceCache`
-  and :class:`~repro.experiments.cache.SimResultCache`) shared by all
-  workers, so repeated points are free across processes *and* sessions;
+  process pool (``jobs=N``).  Either way every point runs through one
+  function, :func:`_simulate_point`, against a process-local
+  :class:`~repro.experiments.pipeline.AppExperiment`: pool workers get
+  the grid points themselves, batched by ``(experiment, variant)``, so
+  tracing and the overlap transforms run in parallel with the replays.
+  The optional on-disk :class:`~repro.experiments.cache.SimResultCache`
+  is shared by all workers and sessions: warm points are answered in
+  the parent from its index and duration sidecars, and a point whose
+  spec is known but whose platform is new replays the stored columns
+  instead of re-tracing;
 * :func:`expand_grid` / :func:`speedup_grid` — grid builders for the
   Figure 6 style evaluations.
 
@@ -23,7 +29,6 @@ of one sequential midpoint probe per round, the whole midpoint tree of
 the next few bisection levels is evaluated concurrently, descending
 several levels per round with bitwise-identical thresholds.
 """
-
 from __future__ import annotations
 
 import gc
@@ -33,7 +38,6 @@ import logging
 import os
 import random as _random
 import signal
-import tempfile
 import threading
 import time
 import traceback as _tb
@@ -54,7 +58,7 @@ from ..obs import (
     span as _span,
     worker_config,
 )
-from .cache import SimResultCache, TraceCache, TraceStore
+from .cache import SimResultCache
 from .checkpoint import CampaignInterrupted, CheckpointJournal, point_key
 from .pipeline import AppExperiment
 
@@ -282,38 +286,37 @@ def _resolve_experiment(
     point: GridPoint,
     cache_dir: str | None,
     store: dict,
-    with_trace_cache: bool = True,
 ) -> AppExperiment:
     """The (process-local) experiment bundle behind a grid point.
 
-    ``with_trace_cache=False`` skips the persistent trace cache: the
-    parent's ship path uses it because the dispatch store already
-    persists the packed columns — also publishing the (much larger,
-    profile-bearing) original trace would put tens of MB of encoding
-    and writing on the dispatch critical path for no campaign benefit.
+    Engine-built experiments persist through the result cache alone:
+    its spec->digest index and column store let any process replay a
+    known spec without tracing, so the profile-bearing original trace
+    (:class:`~repro.experiments.cache.TraceCache`, far larger than the
+    columns) is never encoded or written on the engine's behalf.
+    Experiments a caller hands in keep whatever caches they carry.
     """
     key = point.experiment_key()
     exp = store.get(key)
     if exp is None:
-        trace_cache = sim_cache = None
-        if cache_dir is not None:
-            if with_trace_cache:
-                trace_cache = TraceCache(Path(cache_dir) / "traces")
-            sim_cache = SimResultCache(Path(cache_dir) / "replays")
         exp = AppExperiment(
             point.app,
             nranks=point.nranks,
             chunks=point.chunks,
             app_params=dict(point.app_params),
             machine=point.machine,
-            cache=trace_cache,
-            sim_cache=sim_cache,
+            sim_cache=(
+                SimResultCache(Path(cache_dir) / "replays")
+                if cache_dir is not None else None
+            ),
         )
         store[key] = exp
     return exp
 
 
 def _simulate_point(point: GridPoint, cache_dir: str | None, store: dict) -> SimResult:
+    """Replay one grid point: the one execution path of the serial
+    engine and of pool workers."""
     exp = _resolve_experiment(point, cache_dir, store)
     return exp.simulate(
         point.variant,
@@ -404,46 +407,15 @@ def _failure_from_payload(point: GridPoint, payload: dict) -> PointFailure:
 
 
 #: Per-worker-process state, set once by the pool initializer.
-_WORKER: dict = {
-    "cache_dir": None, "store_dir": None, "experiments": {},
-    "rss_limit_mb": None, "store": None, "sim_cache": None,
-}
+_WORKER: dict = {"cache_dir": None, "experiments": {}, "rss_limit_mb": None}
 
 
-def _worker_init(cache_dir: str | None, store_dir: str | None = None,
-                 obs_spec: dict | None = None,
+def _worker_init(cache_dir: str | None, obs_spec: dict | None = None,
                  rss_limit_mb: float | None = None) -> None:
-    # Freeze every object inherited from the parent into the permanent
-    # generation: the cyclic GC's periodic traversals would otherwise
-    # write into the header of each inherited object, copy-on-writing
-    # the parent's entire heap into every forked worker a page at a
-    # time (this grows with parent heap size — long campaigns got
-    # slower with every engine run).  Workers never need to collect
-    # parent-built cycles, so the trade is pure win.
-    gc.freeze()
     _WORKER.update(
-        cache_dir=cache_dir, store_dir=store_dir, experiments={},
-        rss_limit_mb=rss_limit_mb, store=None, sim_cache=None,
+        cache_dir=cache_dir, experiments={}, rss_limit_mb=rss_limit_mb,
     )
     configure_worker(obs_spec)
-
-
-def _worker_store() -> TraceStore | None:
-    """This worker's handle on the dispatch store (lazy)."""
-    store = _WORKER.get("store")
-    if store is None and _WORKER.get("store_dir") is not None:
-        store = TraceStore(_WORKER["store_dir"])
-        _WORKER["store"] = store
-    return store
-
-
-def _worker_sim_cache() -> SimResultCache | None:
-    """This worker's handle on the shared result cache (lazy)."""
-    cache = _WORKER.get("sim_cache")
-    if cache is None and _WORKER.get("cache_dir") is not None:
-        cache = SimResultCache(Path(_WORKER["cache_dir"]) / "replays")
-        _WORKER["sim_cache"] = cache
-    return cache
 
 
 def _claim_marker(env_var: str) -> bool:
@@ -473,82 +445,41 @@ def _maybe_fault_for_tests() -> None:
         time.sleep(600.0)
 
 
-def _run_shipped(digest: str, cfg: MachineConfig, mode: str):
-    """Replay a dispatch-store trace on ``cfg`` (the zero-copy path).
+def _worker_run_batch(points: list[GridPoint], mode: str) -> tuple[list, dict]:
+    """Run a batch of grid points; one outcome per point, in order.
 
-    The worker never sees record objects: a warm point answers from the
-    shared result cache by digest, a cold one decodes the packed trace
-    straight into a replay plan.  A digest the store cannot produce
-    (corruption was quarantined, or the parent's store degraded after
-    dispatch) raises — the parent retries the point by spec.
-    """
-    sim_cache = _worker_sim_cache()
-    key = (
-        SimResultCache.key_for_digest(digest, cfg)
-        if sim_cache is not None else None
-    )
-    if sim_cache is not None:
-        if mode == "duration":
-            dur = sim_cache.load_duration(key)
-            if dur is not None:
-                return dur
-        else:
-            hit = sim_cache.load(key)
-            if hit is not None:
-                return hit
-    store = _worker_store()
-    col = store.get(digest) if store is not None else None
-    if col is None:
-        raise RuntimeError(
-            f"dispatch store cannot produce trace {digest}; "
-            f"point must be re-dispatched by spec"
-        )
-    res = simulate(col, cfg)
-    if sim_cache is not None:
-        sim_cache.store(key, res)
-    return res if mode == "result" else res.duration
-
-
-def _run_task(task: tuple, mode: str):
-    """Execute one dispatched task: ``("ship", digest, cfg)`` replays a
-    pre-published packed trace; ``("spec", point)`` rebuilds everything
-    from the grid-point spec (fallback and retry path)."""
-    if task[0] == "ship":
-        return _run_shipped(task[1], task[2], mode)
-    point = task[1]
-    res = _simulate_point(point, _WORKER["cache_dir"], _WORKER["experiments"])
-    return res if mode == "result" else res.duration
-
-
-def _worker_warmup() -> None:
-    """No-op task whose submission forces the executor to fork its
-    worker processes immediately (see the pre-fork note in
-    ``_map_points``)."""
-    return None
-
-
-def _worker_run_batch(tasks: list[tuple], mode: str) -> tuple[list, dict]:
-    """Run a batch of dispatched tasks; one outcome per task, in order.
-
-    Outcomes are ``("ok", value)`` or ``("err", error, traceback)`` —
-    a failing task never poisons its batch siblings.  The second return
-    element is the observability payload (metric deltas, spans, pid)
-    riding the result pickle back to the parent, which merges it into
-    its registry and — when a run is open — the run's event log.  This
-    is how cache hit/miss counters and worker spans survive the process
+    Each point goes through :func:`_simulate_point`, exactly as on the
+    serial path: the worker's own experiment bundles trace, transform
+    and replay, or — for a spec the result cache already knows —
+    replay the stored columns without tracing.  Outcomes are
+    ``("ok", value)`` or ``("err", error, traceback)`` — a failing
+    point never poisons its batch siblings.  The second return element
+    is the observability payload (metric deltas, spans, pid) riding
+    the result pickle back to the parent, which merges it into its
+    registry and — when a run is open — the run's event log.  This is
+    how cache hit/miss counters and worker spans survive the process
     boundary.
     """
     _maybe_fault_for_tests()
     outcomes: list = []
-    for task in tasks:
+    for point in points:
         try:
             _check_rss_budget(_WORKER["rss_limit_mb"])
-            outcomes.append(("ok", _run_task(task, mode)))
+            res = _simulate_point(
+                point, _WORKER["cache_dir"], _WORKER["experiments"],
+            )
+            outcomes.append(("ok", res if mode == "result" else res.duration))
         except Exception as exc:  # noqa: BLE001 - reported to the parent
             outcomes.append((
                 "err", f"{type(exc).__name__}: {exc}",
                 "".join(_tb.format_exception(exc)),
             ))
+    # The worker keeps the traces and replay plans this batch built for
+    # later batches.  Freezing them (and everything inherited from the
+    # parent) into the permanent generation stops the cyclic GC from
+    # re-walking those long-lived objects on every collection, and
+    # from copy-on-writing the inherited parent heap page by page.
+    gc.freeze()
     return outcomes, collect_worker_payload()
 
 
@@ -582,14 +513,13 @@ class ExperimentEngine:
         Worker processes.  ``1`` (default) runs everything in-process —
         same code path, no pool, useful as the deterministic reference.
     cache_dir:
-        Directory for the persistent caches (created on demand):
-        ``<cache_dir>/traces`` for :class:`TraceCache`,
-        ``<cache_dir>/replays`` for :class:`SimResultCache`, and
-        ``<cache_dir>/dispatch`` for the zero-copy
-        :class:`~repro.experiments.cache.TraceStore`.  Shared by all
-        workers; ``None`` disables persistence (each process still
-        memoizes in memory, and the dispatch store lives in a temporary
-        directory for the engine's lifetime).
+        Directory of the persistent result cache (created on demand):
+        ``<cache_dir>/replays`` holds the
+        :class:`~repro.experiments.cache.SimResultCache` entries, its
+        spec->digest index, and the packed columns of every variant a
+        process traced, so any worker or later session replays a known
+        spec without tracing it again.  Shared by all workers; ``None``
+        disables persistence (each process still memoizes in memory).
     retry:
         :class:`RetryPolicy` governing worker failures (default: three
         attempts, 50 ms exponential backoff, no per-point timeout).
@@ -674,12 +604,7 @@ class ExperimentEngine:
         #: Points that exhausted their retry budget, by grid point.
         self.quarantine: dict[GridPoint, PointFailure] = {}
         self._experiments: dict = {}
-        #: Ship-path experiment bundles (no trace cache — the dispatch
-        #: store persists the columns; see :meth:`_dispatch_task`).
-        self._dispatch_experiments: dict = {}
         self._pool: ProcessPoolExecutor | None = None
-        self._store: TraceStore | None = None
-        self._store_tmp: tempfile.TemporaryDirectory | None = None
         self._drain = threading.Event()
 
     # -- drain (graceful SIGTERM/SIGINT) -------------------------------------
@@ -759,6 +684,14 @@ class ExperimentEngine:
                                        {"result": value.to_dict()})
         elif self.checkpoint.entries.get((key, "duration")) is None:
             self.checkpoint.record(key, "duration", {"duration": value})
+
+    def _completed(self, point: GridPoint, mode: str, value,
+                   seconds: float) -> None:
+        """Journal and count one executed point."""
+        self._journal_value(point, mode, value)
+        reg = get_registry()
+        reg.counter("engine.points_executed").inc()
+        reg.histogram("engine.point_wall_seconds").observe(seconds)
 
     # -- determinism certification (--verify-sample) -------------------------
     def _verify_sampled(self, point: GridPoint) -> bool:
@@ -843,20 +776,13 @@ class ExperimentEngine:
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
-        """Shut down the worker pool and dispatch store (idempotent)."""
+        """Shut down the worker pool (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
         for exp in self._experiments.values():
             if exp.cache is not None:
                 exp.cache.flush()  # land async publishes before teardown
-        self._store = None
-        if self._store_tmp is not None:
-            try:
-                self._store_tmp.cleanup()
-            except OSError:
-                pass
-            self._store_tmp = None
 
     def _discard_pool(self, reason: str) -> None:
         """Tear down a broken or hung pool so the next submit rebuilds it.
@@ -888,76 +814,12 @@ class ExperimentEngine:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            store = self._dispatch_store()
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_worker_init,
-                initargs=(self.cache_dir, str(store.directory),
-                          worker_config(), self.rss_limit_mb),
+                initargs=(self.cache_dir, worker_config(), self.rss_limit_mb),
             )
         return self._pool
-
-    # -- dispatch preparation ------------------------------------------------
-    def _dispatch_store(self) -> TraceStore:
-        """The digest-addressed trace store shared with pool workers.
-
-        Lives under ``<cache_dir>/dispatch`` when the engine has a cache
-        directory (doubling as a persistent trace cache); otherwise in a
-        temporary directory torn down by :meth:`close`.
-        """
-        if self._store is None:
-            if self.cache_dir is not None:
-                root = Path(self.cache_dir) / "dispatch"
-            else:
-                self._store_tmp = tempfile.TemporaryDirectory(
-                    prefix="repro-dispatch-"
-                )
-                root = Path(self._store_tmp.name)
-            self._store = TraceStore(root)
-        return self._store
-
-    def _dispatch_task(self, point: GridPoint) -> tuple:
-        """Prepare a point's pool task: ship-by-digest when possible.
-
-        The zero-copy path: resolve (and trace) the experiment once in
-        the parent, publish its packed encoding in the dispatch store,
-        and hand workers just ``(digest, platform)`` — a few dozen bytes
-        instead of a pickled record forest.  Any preparation trouble —
-        unknown app, degraded store — falls back to shipping the spec,
-        where the worker reproduces (and properly attributes) the
-        failure itself.
-        """
-        reg = get_registry()
-        store = self._dispatch_store()
-        if not store.degraded:
-            t0 = time.monotonic()
-            try:
-                # Prefer an experiment somebody already traced (the
-                # bracket-search seed path); otherwise build one without
-                # a trace cache — the dispatch store is the cold path's
-                # persistence, and the original trace's profile payload
-                # is orders of magnitude bigger than the columns.
-                exp = self._experiments.get(point.experiment_key())
-                if exp is None:
-                    exp = _resolve_experiment(
-                        point, self.cache_dir, self._dispatch_experiments,
-                        with_trace_cache=False,
-                    )
-                cfg = exp.platform(
-                    point.bandwidth_mbps, point.buses, point.latency,
-                    point.perturb,
-                )
-                digest = store.put(exp.columnar(point.variant))
-            except Exception:  # noqa: BLE001 - worker will attribute it
-                pass
-            else:
-                reg.histogram("engine.dispatch.prep_seconds").observe(
-                    time.monotonic() - t0
-                )
-                reg.counter("engine.dispatch.ship_points").inc()
-                return ("ship", digest, cfg)
-        reg.counter("engine.dispatch.spec_points").inc()
-        return ("spec", point)
 
     # -- core scheduling ----------------------------------------------------
     def _map_points(self, points: list[GridPoint], mode: str) -> list:
@@ -1014,17 +876,10 @@ class ExperimentEngine:
                            points[i].variant, i),
         )
         entries = [(i, points[i]) for i in order]
-        # Fork the pool *before* dispatch preparation builds any trace:
-        # workers forked against a small parent heap stay small, while
-        # forking after tracing copies-on-write the whole record forest
-        # (and its profile arrays) into every worker as soon as the GC
-        # touches refcounts.  The warmup task forces the executor to
-        # spawn its processes now rather than lazily at first submit.
-        self._ensure_pool().submit(_worker_warmup)
         # Batches never straddle a (experiment, variant) group: all
-        # points of one trace digest go to as few workers as the job
-        # budget allows, so each worker decodes the columns and builds
-        # the replay plan for a digest at most once.  Each group is
+        # points of one trace go to as few workers as the job budget
+        # allows, so each worker traces, transforms and plans a variant
+        # at most once.  Each group is
         # split across about jobs/ngroups workers (capped batch size
         # keeps huge groups responsive); distinct experiments never
         # share a batch, so a poisoned spec cannot waste a sibling
@@ -1061,10 +916,9 @@ class ExperimentEngine:
     ) -> None:
         """Submit every batch of ``(slot, point)`` entries and babysit.
 
-        First attempts ride the prepared dispatch tasks (ship-by-digest
-        where possible); every retry re-dispatches its point by spec, so
-        even dispatch-store damage can only cost one attempt.  Failures
-        inside a batch are per-entry (a sibling's exception never wastes
+        Workers receive the grid points themselves and resolve each one
+        exactly as the serial path does.  Failures inside a batch are
+        per-entry (a sibling's exception never wastes
         a finished replay); three whole-batch failure shapes are also
         recovered: a worker *raising* before task execution (charge and
         retry each entry), a worker *dying* (``BrokenProcessPool``
@@ -1088,23 +942,18 @@ class ExperimentEngine:
         #: Per-slot (kind, seconds, error) of every failed attempt so
         #: far — becomes PointFailure.attempt_history on quarantine.
         history: dict[int, list[tuple[str, float, str]]] = {}
-        #: Per-slot first-attempt task, prepared once at dispatch time.
-        prepared: dict[int, tuple] = {}
 
         def submit(entries: list[tuple[int, GridPoint]], attempt: int) -> None:
-            tasks = [
-                prepared[slot] if attempt == 1 else ("spec", point)
-                for slot, point in entries
-            ]
+            batch = [point for _, point in entries]
             try:
-                fut = self._ensure_pool().submit(_worker_run_batch, tasks, mode)
+                fut = self._ensure_pool().submit(_worker_run_batch, batch, mode)
             except BrokenProcessPool:
-                # A worker died between submissions (batch preparation
+                # A worker died between submissions (a retry backoff
                 # gives it time to): recycle and submit to a fresh pool.
                 # In-flight futures of the dead pool surface their own
                 # crash through the recovery path below.
                 self._discard_pool("broken (worker process died)")
-                fut = self._ensure_pool().submit(_worker_run_batch, tasks, mode)
+                fut = self._ensure_pool().submit(_worker_run_batch, batch, mode)
             pending[fut] = (entries, attempt, time.monotonic())
             reg.counter("engine.dispatch.batches").inc()
 
@@ -1148,8 +997,6 @@ class ExperimentEngine:
         for entries in batches:
             if self._drain.is_set():
                 break
-            for slot, point in entries:
-                prepared[slot] = self._dispatch_task(point)
             submit(entries, 1)
 
         all_slots = [slot for entries in batches for slot, _ in entries]
@@ -1231,11 +1078,7 @@ class ExperimentEngine:
                     for (slot, point), outcome in zip(entries, outcomes):
                         if outcome[0] == "ok":
                             out[slot] = outcome[1]
-                            self._journal_value(point, mode, outcome[1])
-                            reg.counter("engine.points_executed").inc()
-                            reg.histogram(
-                                "engine.point_wall_seconds"
-                            ).observe(per_point)
+                            self._completed(point, mode, outcome[1], per_point)
                         else:
                             settle(slot, point, attempt, "exception",
                                    outcome[1], per_point, tb=outcome[2])
@@ -1259,7 +1102,6 @@ class ExperimentEngine:
             if not fut.cancel():
                 running[fut] = state
         pending.clear()
-        reg = get_registry()
         for fut, (entries, _attempt, t0) in running.items():
             try:
                 outcomes, payload = fut.result(timeout=self.retry.point_timeout)
@@ -1271,9 +1113,7 @@ class ExperimentEngine:
                 if outcome[0] != "ok":
                     continue
                 out[slot] = outcome[1]
-                self._journal_value(point, mode, outcome[1])
-                reg.counter("engine.points_executed").inc()
-                reg.histogram("engine.point_wall_seconds").observe(per_point)
+                self._completed(point, mode, outcome[1], per_point)
 
     def _run_serial(self, points: list[GridPoint], mode: str) -> list:
         """In-process reference path with the same failure contract."""
@@ -1294,11 +1134,7 @@ class ExperimentEngine:
                 value = res if mode == "result" else res.duration
                 value = self._maybe_verify(p, mode, value, "serial")
                 out.append(value)
-                self._journal_value(p, mode, value)
-                reg.counter("engine.points_executed").inc()
-                reg.histogram("engine.point_wall_seconds").observe(
-                    time.monotonic() - t0
-                )
+                self._completed(p, mode, value, time.monotonic() - t0)
             except Exception as exc:  # noqa: BLE001 - uniform grid contract
                 err = f"{type(exc).__name__}: {exc}"
                 failure = PointFailure(

@@ -19,6 +19,7 @@ from ..dimemas.machine import MachineConfig
 from ..dimemas.replay import simulate
 from ..dimemas.results import SimResult
 from ..obs import span as _span
+from ..trace.columnar import columnar_of
 from ..trace.records import TraceSet
 
 __all__ = ["AppExperiment", "VARIANTS"]
@@ -134,26 +135,6 @@ class AppExperiment:
 
     _platform = platform
 
-    def columnar(self, variant: str = "original"):
-        """The packed columnar form of a variant's trace.
-
-        Feeds the parallel engine's zero-copy dispatch: the parent
-        encodes each trace once and workers replay straight from the
-        columns.  Also publishes the spec->digest index entry so later
-        runs can answer warm hits without building the trace at all.
-        """
-        from ..trace.columnar import columnar_of
-        col = columnar_of(self.trace(variant))
-        spec = self._spec_key(variant)
-        if (
-            spec is not None
-            and self.sim_cache is not None
-            and spec not in self._published_specs
-        ):
-            self.sim_cache.put_digest(spec, col.digest)
-            self._published_specs.add(spec)
-        return col
-
     def simulate(
         self,
         variant: str = "original",
@@ -236,8 +217,7 @@ class AppExperiment:
     def _known_digest(self, variant: str) -> str | None:
         """The variant's trace digest, if knowable without building it."""
         if variant in self._traces:
-            from .cache import trace_digest
-            return trace_digest(self._traces[variant])
+            return columnar_of(self._traces[variant]).digest
         spec = self._spec_key(variant)
         if spec is None or self.sim_cache is None:
             return None
@@ -258,23 +238,31 @@ class AppExperiment:
     def _cached_simulate(self, variant: str, cfg: MachineConfig) -> SimResult:
         """Replay through the persistent result cache.
 
-        The spec->digest index lets a warm hit skip trace building and
-        transformation entirely: spec key -> trace digest -> result
-        key -> one JSON read.
+        The spec->digest index lets a known spec skip trace building
+        and transformation entirely: spec key -> trace digest -> result
+        key -> one JSON read on a hit, or a replay of the columns the
+        cache stored under that digest on a miss.  Building a variant
+        stores its columns, then its index entry, so any process or
+        later session can take that shortcut.
         """
         spec = self._spec_key(variant)
         if spec is not None and variant not in self._traces:
             digest = self.sim_cache.get_digest(spec)
             if digest is not None:
-                hit = self.sim_cache.load(
-                    self.sim_cache.key_for_digest(digest, cfg)
-                )
+                key = self.sim_cache.key_for_digest(digest, cfg)
+                hit = self.sim_cache.load(key)
                 if hit is not None:
                     return hit
+                col = self.sim_cache.columns.get(digest)
+                if col is not None:
+                    result = simulate(col, cfg)
+                    self.sim_cache.store(key, result)
+                    return result
         trace = self.trace(variant)
         if spec is not None and spec not in self._published_specs:
-            from .cache import trace_digest
-            self.sim_cache.put_digest(spec, trace_digest(trace))
+            col = columnar_of(trace)
+            self.sim_cache.columns.put(col)
+            self.sim_cache.put_digest(spec, col.digest)
             self._published_specs.add(spec)
         return self.sim_cache.load_or_simulate(trace, cfg)
 

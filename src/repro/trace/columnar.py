@@ -15,8 +15,8 @@ access profiles).  The layout is
 
 * **cheap to digest** — the replay-semantic core is a few hundred
   kilobytes of packed integers, hashed in microseconds;
-* **cheap to ship** — one compact byte string crosses the process
-  boundary instead of thousands of pickled dataclass instances;
+* **cheap to store** — one compact byte string per trace on disk
+  instead of thousands of pickled dataclass instances;
 * **cheap to replay** — the simulator iterates int opcodes and flat
   columns instead of walking Python objects.
 
@@ -224,7 +224,7 @@ class ColumnarTrace:
     Carries the per-rank :class:`RankColumns`, the interned event /
     collective-op name tables, and the trace-level ``meta`` dict.  The
     :attr:`digest` is the content address used by plan caches, result
-    caches and the worker dispatch store.
+    caches and the result cache's column store.
     """
 
     __slots__ = ("ranks", "names", "collops", "meta", "_core", "_digest")

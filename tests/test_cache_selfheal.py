@@ -18,10 +18,12 @@ from repro.dimemas.replay import simulate
 from repro.experiments.cache import (
     SimResultCache,
     TraceCache,
+    TraceStore,
     sweep_cache_dir,
     trace_digest,
 )
 from repro.trace import dim
+from repro.trace.columnar import columnar_of
 from repro.tracer import run_traced
 from tests.conftest import make_pipeline_app
 
@@ -129,6 +131,26 @@ class TestSimResultCacheHealing:
         assert cache.get_digest("speckey") == trace_digest(trace)
 
 
+class TestColumnStoreHealing:
+    def test_entry_under_foreign_digest_is_a_miss(self, tmp_path, trace):
+        # a valid entry copied under another trace's digest decodes
+        # cleanly; only the digest check can tell it is the wrong trace
+        other = run_traced(make_pipeline_app(iterations=2), 4,
+                           mips=1000.0).trace
+        store = TraceStore(tmp_path)
+        mine = store.put(columnar_of(trace))
+        theirs = trace_digest(other)
+        assert mine != theirs
+        store.path_for(theirs).write_bytes(store.path_for(mine).read_bytes())
+
+        fresh = TraceStore(tmp_path)
+        assert fresh.get(theirs) is None
+        assert not fresh.path_for(theirs).exists()
+        assert len(quarantined(tmp_path)) == 1
+        # the genuine entry still serves, bit for bit
+        assert fresh.get(mine).digest == mine
+
+
 class TestOrphanSweep:
     DEAD_PID = 2 ** 22 + 12345  # beyond default pid_max: never alive
 
@@ -146,12 +168,12 @@ class TestOrphanSweep:
 
     def test_sweep_cache_dir_removes_own_tmps_too(self, tmp_path):
         # the Ctrl-C path: even this process's staging files are garbage
-        for sub in ("traces", "replays"):
+        for sub in ("traces", "replays", "replays/columns"):
             d = tmp_path / sub
             d.mkdir()
             (d / f"k.x.{os.getpid()}.tmp").write_text("")
             (d / f"k.y.{self.DEAD_PID}.tmp").write_text("")
-        assert sweep_cache_dir(tmp_path) == 4
+        assert sweep_cache_dir(tmp_path) == 6
         assert not list(tmp_path.rglob("*.tmp"))
 
 

@@ -460,14 +460,14 @@ class TestWriterIdentity:
         assert ours.exists()  # genuinely-live writer left alone
 
     def test_sweep_cache_dir_handles_both_token_formats(self, tmp_path):
-        for sub in ("traces", "replays"):
+        for sub in ("traces", "replays", "replays/columns"):
             d = tmp_path / sub
             d.mkdir()
             (d / f"k.x.{os.getpid()}.tmp").write_text("legacy own")
             (d / f"k.y.{_writer_token()}.tmp").write_text("new own")
             (d / f"k.z.{self.DEAD_PID}-7.tmp").write_text("dead writer")
-        assert sweep_cache_dir(tmp_path) == 6
-        for sub in ("traces", "replays"):
+        assert sweep_cache_dir(tmp_path) == 9
+        for sub in ("traces", "replays", "replays/columns"):
             assert not list((tmp_path / sub).glob("*.tmp"))
 
     def test_stage_and_publish_uses_start_time_token(self, tmp_path):

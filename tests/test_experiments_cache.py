@@ -9,6 +9,7 @@ from repro.dimemas.machine import MachineConfig
 from repro.dimemas.replay import simulate
 from repro.perturb import BandwidthWindow, PerturbationSchedule
 from repro.trace import dim
+from repro.trace.columnar import columnar_of
 
 
 class TestTraceCache:
@@ -215,8 +216,12 @@ class TestSimResultCache:
         cache.load_or_simulate(pipeline_trace, machine, runner=runner)
         assert calls == [1]
         assert len(cache) == 1
+        digest = cache.columns.put(columnar_of(pipeline_trace))
+        assert cache.columns.path_for(digest).exists()
         assert cache.clear() == 1
         assert len(cache) == 0
+        assert not list((tmp_path / "columns").glob("*.rct"))
+        assert cache.columns.get(digest) is None
 
     def test_trace_digest_stable(self, pipeline_trace):
         d1 = trace_digest(pipeline_trace)

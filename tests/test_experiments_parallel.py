@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.dimemas.machine import MachineConfig
+from repro.dimemas.replay import simulate
 from repro.experiments.bandwidth import (
     NonMonotonePredicateError,
     bisect_bandwidth,
@@ -125,6 +126,47 @@ class TestEngineParallel:
         assert set(out) == {"sweep3d"}
         assert out["sweep3d"]["real"] > 0
         assert out["sweep3d"]["ideal"] > 0
+
+
+class TestColumnReuse:
+    """A spec the cache already knows, on new platforms, replays the
+    stored columns: no process traces or transforms it again."""
+
+    @staticmethod
+    def grid(bandwidths):
+        return expand_grid(
+            ["sweep3d"], variants=("original", "real", "ideal"),
+            bandwidths=bandwidths, nranks=4, app_params=TINY,
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_warm_spec_new_bandwidths_replay_columns(self, tmp_path,
+                                                     monkeypatch, jobs):
+        with ExperimentEngine(jobs=jobs, cache_dir=tmp_path) as eng:
+            eng.durations(self.grid((None, 100.0)))
+        # engine-built experiments never write the trace cache
+        assert not (tmp_path / "traces").exists()
+        assert len(list((tmp_path / "replays" / "columns").glob("*.rct"))) == 3
+
+        exp = tiny_exp()
+        fresh = self.grid((37.5, 250.0))
+        expected = [
+            simulate(exp.trace(p.variant),
+                     exp.platform(bandwidth_mbps=p.bandwidth_mbps)).duration
+            for p in fresh
+        ]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a known spec was traced or transformed")
+
+        monkeypatch.setattr("repro.apps.base.Application.trace", forbidden)
+        monkeypatch.setattr("repro.experiments.pipeline.overlap_transform",
+                            forbidden)
+        monkeypatch.setattr("repro.experiments.pipeline.ideal_transform",
+                            forbidden)
+        with ExperimentEngine(jobs=jobs, cache_dir=tmp_path) as eng:
+            got = eng.durations(fresh)
+        assert [d.hex() for d in got] == [d.hex() for d in expected]
 
 
 class TestBisectEdgeCases:
