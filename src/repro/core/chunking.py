@@ -19,6 +19,7 @@ the transformation:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,28 +64,42 @@ def plan_chunks(size: int, elements: int, chunks: int = DEFAULT_CHUNKS) -> Chunk
     at least one.  Element boundaries follow ``np.array_split``
     balance; byte sizes are proportional with the remainder spread over
     the leading chunks so they always sum to ``size`` exactly.
+
+    Plans are memoized by ``(size, elements, chunks)`` — a trace has a
+    handful of distinct message geometries — so the returned plan is
+    shared and its arrays are read-only.
     """
     if size < 0 or elements < 0:
         raise ValueError("size and elements must be >= 0")
     if chunks < 1:
         raise ValueError(f"chunk count must be >= 1, got {chunks}")
+    return _plan_chunks(size, elements, chunks)
+
+
+@lru_cache(maxsize=4096)
+def _plan_chunks(size: int, elements: int, chunks: int) -> ChunkPlan:
     n = max(1, min(chunks, elements if elements > 0 else 1, size if size > 0 else 1))
     bounds = np.linspace(0, max(elements, 1), n + 1).round().astype(np.int64)
     # Byte boundaries proportional to element boundaries.
     byte_bounds = np.linspace(0, size, n + 1).round().astype(np.int64)
     sizes = np.diff(byte_bounds)
     assert int(sizes.sum()) == size
+    bounds.setflags(write=False)
+    sizes.setflags(write=False)
     return ChunkPlan(elements=max(elements, 1), nchunks=n, bounds=bounds, sizes=sizes)
 
 
 def _segment_reduce(values: np.ndarray, bounds: np.ndarray, how: str) -> np.ndarray:
-    """Per-chunk nan-max / nan-min of a per-element array (vectorized)."""
-    out = np.full(len(bounds) - 1, np.nan)
-    for c in range(len(bounds) - 1):  # nchunks <= 32 in practice: trivial loop
-        seg = values[bounds[c]:bounds[c + 1]]
-        if seg.size and not np.all(np.isnan(seg)):
-            out[c] = np.nanmax(seg) if how == "max" else np.nanmin(seg)
-    return out
+    """Per-chunk nan-max / nan-min of a per-element array.
+
+    ``bounds`` are a plan's chunk boundaries: strictly increasing, from
+    0 to ``len(values)``.  ``np.nanmax``/``np.nanmin`` are
+    ``fmax``/``fmin`` reductions, so one ``reduceat`` gives the same
+    values for every chunk at once — NaN only where the whole chunk is
+    NaN (never accessed).
+    """
+    ufunc = np.fmax if how == "max" else np.fmin
+    return ufunc.reduceat(values, bounds[:-1])
 
 
 def chunk_ready_times(profile: AccessProfile, plan: ChunkPlan) -> np.ndarray:

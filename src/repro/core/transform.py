@@ -54,10 +54,9 @@ which it could have been produced earlier.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from ..obs import get_registry, traced
 from ..trace.records import (
@@ -79,7 +78,7 @@ from .chunking import (
     chunk_ready_times,
     plan_chunks,
 )
-from .matching import MessagePair, match_messages
+from .matching import MessagePair, match_messages_cached
 
 __all__ = [
     "OverlapConfig",
@@ -227,107 +226,146 @@ def _rebuild(proc: ProcessTrace, edits: _Edits) -> ProcessTrace:
 
 
 # --------------------------------------------------------------------------- #
-# Stream context: previous/next records on the same matching key.
+# The per-trace index: what every transformation of one trace shares.
 # --------------------------------------------------------------------------- #
 
-def _compute_regions(trace: TraceSet) -> list[tuple]:
-    """Per rank: for every record, the virtual-time bounds of the
-    contiguous computation region around it.
+class _RankIndex:
+    """Stream context of one rank of an original trace.
 
-    ``region_prev[i]`` is the virtual time of the nearest non-burst,
-    non-event record strictly before ``i`` (0.0 at the stream head);
-    ``region_next[i]`` the nearest one strictly after (trace end at the
-    tail).  These bound how far the ideal schedule may spread chunk
-    events without crossing a communication dependency.
+    ``region_prev[i]`` / ``region_next[i]`` bound the contiguous
+    computation region around record ``i``: the virtual time of the
+    nearest non-burst, non-event record strictly before it (0.0 at the
+    stream head) and strictly after it (trace end at the tail).  They
+    bound how far the ideal schedule may spread chunk events without
+    crossing a communication dependency.
+
+    Per matching key ``(peer, context, channel, tag, sub)``:
+    ``next_send[i]`` is the index of the send after send ``i`` (the
+    double-buffering anchor of its chunk waits) and ``next_recv_t[i]``
+    the time of the receive after receive ``i`` (trace end for the
+    last one).
+
+    Per buffer identity (the ``buf`` record meta): ``prev_recv_buf[i]``
+    is the time of the last receive into the buffer before send ``i``
+    (data arrival — an ideal-schedule send of that buffer cannot move
+    before it) and ``next_send_buf[i]`` the time of the next send of the
+    buffer after receive ``i`` (the forward point — a postponed wait
+    cannot move past it).
+
+    ``wait_of[request]`` is the index of the Wait record completing a
+    request, and ``max_request`` the largest request id in use.
     """
-    out = []
-    for proc in trace:
-        starts = proc.virtual_starts()
-        n = len(proc.records)
-        prev = np.zeros(n)
-        nxt = np.full(n, proc.virtual_duration)
-        last = 0.0
-        for i, rec in enumerate(proc.records):
-            prev[i] = last
-            if not isinstance(rec, (CpuBurst, EventRec)):
-                last = starts[i]
-        upcoming = proc.virtual_duration
-        for i in range(n - 1, -1, -1):
-            nxt[i] = upcoming
-            if not isinstance(proc.records[i], (CpuBurst, EventRec)):
-                upcoming = starts[i]
-        out.append((prev, nxt))
-    return out
 
+    __slots__ = ("records", "starts", "region_prev", "region_next",
+                 "next_send", "next_recv_t", "prev_recv_buf",
+                 "next_send_buf", "wait_of", "max_request")
 
-def _buffer_lifecycle(trace: TraceSet):
-    """Buffer-identity causality bounds (from the ``buf`` record meta).
-
-    For every send record: the virtual time of the last receive into
-    the same buffer before it (data arrival — an ideal-schedule send of
-    that buffer cannot move before it).  For every receive record: the
-    virtual time of the next send of the same buffer after it (the
-    forward point — a postponed wait cannot move past it).
-    """
-    prev_recv: dict[tuple[int, int], float] = {}
-    next_send: dict[tuple[int, int], float] = {}
-    for proc in trace:
-        starts = proc.virtual_starts()
+    def __init__(self, proc: ProcessTrace) -> None:
+        records = proc.records
+        starts = proc.virtual_starts().tolist()
+        n = len(records)
+        end = starts[-1]
+        self.records = records
+        self.starts = starts
+        self.region_prev = region_prev = [0.0] * n
+        self.region_next = region_next = [end] * n
+        self.next_send = next_send = {}
+        self.next_recv_t = next_recv_t = {}
+        self.prev_recv_buf = prev_recv_buf = {}
+        self.next_send_buf = next_send_buf = {}
+        self.wait_of = wait_of = {}
+        max_request = 0
+        last_send: dict[tuple, int] = {}
+        last_recv: dict[tuple, int] = {}
         seen_recv: dict[int, float] = {}
-        for i, rec in enumerate(proc.records):
-            buf = rec.meta.get("buf") if isinstance(rec, (Send, ISend, Recv, IRecv)) else None
-            if buf is None:
+        last = 0.0
+        for i, rec in enumerate(records):
+            region_prev[i] = last
+            if isinstance(rec, (CpuBurst, EventRec)):
                 continue
+            t = last = starts[i]
+            if isinstance(rec, Wait):
+                for req in rec.requests:
+                    wait_of[req] = i
+                continue
+            if not isinstance(rec, (Send, ISend, Recv, IRecv)):
+                continue
+            if rec.channel == CHANNEL_CHUNK:
+                raise ValueError(
+                    "input trace already contains chunked messages; "
+                    "overlap_transform must run on an original trace"
+                )
+            if isinstance(rec, (ISend, IRecv)):
+                max_request = max(max_request, rec.request)
+            key = (rec.peer, rec.context, rec.channel, rec.tag, rec.sub)
+            buf = rec.meta.get("buf")
             if isinstance(rec, (Send, ISend)):
-                prev_recv[(proc.rank, i)] = seen_recv.get(buf, 0.0)
+                prev = last_send.get(key)
+                if prev is not None:
+                    next_send[prev] = i
+                last_send[key] = i
+                if buf is not None:
+                    prev_recv_buf[i] = seen_recv.get(buf, 0.0)
             else:
-                seen_recv[buf] = float(starts[i])
-        upcoming: dict[int, float] = {}
-        for i in range(len(proc.records) - 1, -1, -1):
-            rec = proc.records[i]
+                prev = last_recv.get(key)
+                if prev is not None:
+                    next_recv_t[prev] = t
+                next_recv_t[i] = end
+                last_recv[key] = i
+                if buf is not None:
+                    seen_recv[buf] = t
+        self.max_request = max_request
+
+        upcoming = end
+        upcoming_send: dict[int, float] = {}
+        for i in range(n - 1, -1, -1):
+            region_next[i] = upcoming
+            rec = records[i]
+            if isinstance(rec, (CpuBurst, EventRec)):
+                continue
+            upcoming = starts[i]
             buf = rec.meta.get("buf") if isinstance(rec, (Send, ISend, Recv, IRecv)) else None
             if buf is None:
                 continue
             if isinstance(rec, (Recv, IRecv)):
-                next_send[(proc.rank, i)] = upcoming.get(buf, math.inf)
+                next_send_buf[i] = upcoming_send.get(buf, math.inf)
             else:
-                upcoming[buf] = float(starts[i])
-    return prev_recv, next_send
+                upcoming_send[buf] = upcoming
 
 
-def _stream_neighbors(trace: TraceSet):
-    """For every p2p record: the time of the previous same-key send /
-    next same-key receive, plus the index of the next same-key send or
-    receive record (used for wait anchoring)."""
-    prev_send_time: dict[tuple[int, int], float] = {}
-    next_send_index: dict[tuple[int, int], int | None] = {}
-    next_recv_time: dict[tuple[int, int], float] = {}
-    next_recv_index: dict[tuple[int, int], int | None] = {}
+class _TraceIndex:
+    """Everything the transformation reads off an original trace.
 
-    for proc in trace:
-        starts = proc.virtual_starts()
-        last_send: dict[tuple, tuple[int, float]] = {}
-        last_recv: dict[tuple, int] = {}
-        for i, rec in enumerate(proc.records):
-            t = starts[i]
-            if isinstance(rec, (Send, ISend)):
-                key = (rec.peer, rec.context, rec.channel, rec.tag, rec.sub)
-                prev = last_send.get(key)
-                prev_send_time[(proc.rank, i)] = prev[1] if prev else 0.0
-                if prev:
-                    next_send_index[(proc.rank, prev[0])] = i
-                next_send_index[(proc.rank, i)] = None
-                last_send[key] = (i, t)
-            elif isinstance(rec, (Recv, IRecv)):
-                key = (rec.peer, rec.context, rec.channel, rec.tag, rec.sub)
-                prev = last_recv.get(key)
-                if prev is not None:
-                    next_recv_time[(proc.rank, prev)] = t
-                    next_recv_index[(proc.rank, prev)] = i
-                next_recv_time[(proc.rank, i)] = proc.virtual_duration
-                next_recv_index[(proc.rank, i)] = None
-                last_recv[key] = i
-    return prev_send_time, next_send_index, next_recv_time, next_recv_index
+    Independent of the :class:`OverlapConfig`, so the real and the ideal
+    transformation of one trace (paper §III-C) share it.  It references
+    the trace's record lists, never the :class:`TraceSet` itself, so the
+    weak memo in :func:`_index_of` does not keep traces alive.
+    """
+
+    __slots__ = ("ranks", "pairs")
+
+    def __init__(self, trace: TraceSet) -> None:
+        # Rank scans first: they reject an already-transformed trace
+        # before matching could fail on it.
+        self.ranks = [_RankIndex(proc) for proc in trace]
+        self.pairs = match_messages_cached(trace)
+
+
+#: Per-TraceSet memo of indexes, guarded by per-rank record counts the
+#: way :func:`~repro.core.matching.match_messages_cached` is.
+_index_memo: "weakref.WeakKeyDictionary[TraceSet, tuple[tuple[int, ...], _TraceIndex]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _index_of(trace: TraceSet) -> _TraceIndex:
+    fingerprint = tuple(len(p.records) for p in trace)
+    hit = _index_memo.get(trace)
+    if hit is not None and hit[0] == fingerprint:
+        return hit[1]
+    index = _TraceIndex(trace)
+    _index_memo[trace] = (fingerprint, index)
+    return index
 
 
 # --------------------------------------------------------------------------- #
@@ -352,36 +390,24 @@ def overlap_transform(
     elif kwargs:
         raise TypeError("pass either an OverlapConfig or keyword arguments, not both")
 
-    for proc in trace:
-        for rec in proc.records:
-            if isinstance(rec, (Send, ISend, Recv, IRecv)) and rec.channel == CHANNEL_CHUNK:
-                raise ValueError(
-                    "input trace already contains chunked messages; "
-                    "overlap_transform must run on an original trace"
-                )
-
+    index = _index_of(trace)
     stats = TransformStats()
-    pairs = match_messages(trace)
-    stats.messages_total = len(pairs)
-
-    prev_send_t, next_send_i, next_recv_t, next_recv_i = _stream_neighbors(trace)
-    regions = _compute_regions(trace)
-    lifecycle = _buffer_lifecycle(trace)
+    stats.messages_total = len(index.pairs)
 
     edits = [_Edits() for _ in range(trace.nranks)]
-    req_counter = [_max_request_id(p) + 1 for p in trace.processes]
+    req_counter = [r.max_request + 1 for r in index.ranks]
 
     def new_req(rank: int) -> int:
         req_counter[rank] += 1
         return req_counter[rank]
 
-    # Map (rank, wait-record-index) for request -> Wait position lookup.
-    wait_of_request = _index_waits(trace)
-
-    for pair in pairs:
-        sproc, rproc = trace[pair.src], trace[pair.dst]
-        srec = sproc.records[pair.send_index]
-        rrec = rproc.records[pair.recv_index]
+    for pair in index.pairs:
+        if pair.size <= 0:
+            stats.skipped_zero_size += 1
+            continue
+        sidx, ridx = index.ranks[pair.src], index.ranks[pair.dst]
+        srec = sidx.records[pair.send_index]
+        rrec = ridx.records[pair.recv_index]
 
         # The point where the original reception *completed*: the Recv
         # record itself, or the Wait record of a non-blocking receive.
@@ -392,51 +418,58 @@ def overlap_transform(
         # instant).
         complete_idx = pair.recv_index
         if isinstance(rrec, IRecv):
-            wi = wait_of_request.get((pair.dst, rrec.request))
+            wi = ridx.wait_of.get(rrec.request)
             if wi is not None:
                 complete_idx = wi
-        t_complete = float(rproc.virtual_starts()[complete_idx])
+        ts = sidx.starts[pair.send_index]
+        t_complete = ridx.starts[complete_idx]
 
         decision = _plan_message(
-            trace, pair, config, regions, next_recv_t, complete_idx, t_complete,
-            lifecycle,
+            pair, sidx, ridx, config, ts, complete_idx, t_complete,
         )
         if decision is None:
             continue
-        plan, send_times, wait_times, ts, tr = decision
-        wait_times = np.maximum(wait_times, t_complete)
+        sizes, send_times, wait_times = decision
+        # Never wait before the original completion (np.maximum order:
+        # an equal value keeps t_complete's bits).
+        wait_times = [w if w > t_complete else t_complete for w in wait_times]
+        nchunks = len(sizes)
         stats.messages_transformed += 1
-        stats.chunks_created += plan.nchunks
-        stats.sends_advanced += int(np.sum(send_times < ts - 1e-12))
-        stats.waits_postponed += int(np.sum(wait_times > t_complete + 1e-12))
+        stats.chunks_created += nchunks
+        advanced_before = ts - 1e-12
+        postponed_after = t_complete + 1e-12
+        stats.sends_advanced += sum(1 for t in send_times if t < advanced_before)
+        stats.waits_postponed += sum(1 for w in wait_times if w > postponed_after)
+        subs = [chunk_sub(pair.channel, pair.sub, c) for c in range(nchunks)]
 
         se, re_ = edits[pair.src], edits[pair.dst]
 
         # ---- sender side ------------------------------------------------ #
         se.removed.add(pair.send_index)
         if isinstance(srec, ISend):
-            wi = wait_of_request.get((pair.src, srec.request))
+            wi = sidx.wait_of.get(srec.request)
             if wi is not None:
                 se.wait_strip[wi].add(srec.request)
         chunk_reqs: list[int] = []
-        for c in range(plan.nchunks):
+        moved_before = ts - 1e-15
+        for c in range(nchunks):
             req = new_req(pair.src)
             chunk_reqs.append(req)
             isend = ISend(
-                peer=pair.dst, tag=pair.tag, size=int(plan.sizes[c]),
-                channel=CHANNEL_CHUNK, sub=chunk_sub(pair.channel, pair.sub, c),
+                peer=pair.dst, tag=pair.tag, size=sizes[c],
+                channel=CHANNEL_CHUNK, sub=subs[c],
                 context=pair.context, request=req,
                 rendezvous=not config.double_buffering,
             )
             # Only chunks with evidence of earlier production move; the
             # rest keep the original send's position in the stream (see
             # "Causality rules" above).
-            if send_times[c] < ts - 1e-15:
-                se.add_timed(float(send_times[c]), isend)
+            if send_times[c] < moved_before:
+                se.add_timed(send_times[c], isend)
             else:
                 se.before_index[pair.send_index].append(isend)
         waitall = Wait(tuple(chunk_reqs))
-        nsi = next_send_i.get((pair.src, pair.send_index))
+        nsi = sidx.next_send.get(pair.send_index)
         if config.double_buffering and nsi is not None:
             se.before_index[nsi].append(waitall)
         elif config.double_buffering:
@@ -447,16 +480,17 @@ def overlap_transform(
         # ---- receiver side ------------------------------------------------ #
         re_.removed.add(pair.recv_index)
         if isinstance(rrec, IRecv):
-            wi = wait_of_request.get((pair.dst, rrec.request))
+            wi = ridx.wait_of.get(rrec.request)
             if wi is not None:
                 re_.wait_strip[wi].add(rrec.request)
         immediate_waits: list[Record] = []
-        for c in range(plan.nchunks):
+        kept_until = t_complete + 1e-15
+        for c in range(nchunks):
             req = new_req(pair.dst)
             re_.before_index[pair.recv_index].append(
                 IRecv(
-                    peer=pair.src, tag=pair.tag, size=int(plan.sizes[c]),
-                    channel=CHANNEL_CHUNK, sub=chunk_sub(pair.channel, pair.sub, c),
+                    peer=pair.src, tag=pair.tag, size=sizes[c],
+                    channel=CHANNEL_CHUNK, sub=subs[c],
                     context=pair.context, request=req,
                 )
             )
@@ -464,10 +498,10 @@ def overlap_transform(
             # completion point's position in the record stream
             # (index-anchored, after the IRecv postings and any sends in
             # between); only genuinely-postponed waits move by time.
-            if wait_times[c] <= t_complete + 1e-15:
+            if wait_times[c] <= kept_until:
                 immediate_waits.append(Wait((req,)))
             else:
-                re_.add_timed(float(wait_times[c]), Wait((req,)))
+                re_.add_timed(wait_times[c], Wait((req,)))
         re_.before_index[complete_idx].extend(immediate_waits)
 
     new_procs = [_rebuild(trace[r], edits[r]) for r in range(trace.nranks)]
@@ -487,45 +521,24 @@ def overlap_transform(
     return TraceSet(new_procs, meta=meta), stats
 
 
-def _max_request_id(proc: ProcessTrace) -> int:
-    mx = 0
-    for rec in proc.records:
-        if isinstance(rec, (ISend, IRecv)):
-            mx = max(mx, rec.request)
-    return mx
+def _plan_message(pair: MessagePair, sidx: _RankIndex, ridx: _RankIndex,
+                  config: OverlapConfig, ts: float, complete_idx: int,
+                  t_complete: float):
+    """Decide chunk sizes and schedules for one non-empty message.
 
-
-def _index_waits(trace: TraceSet) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for proc in trace:
-        for i, rec in enumerate(proc.records):
-            if isinstance(rec, Wait):
-                for req in rec.requests:
-                    out[(proc.rank, req)] = i
-    return out
-
-
-def _plan_message(trace, pair: MessagePair, config: OverlapConfig,
-                  regions, next_recv_t, complete_idx: int, t_complete: float,
-                  lifecycle):
-    """Decide chunk plan and schedules for one message.
-
-    Returns ``(plan, send_times, wait_times, ts, tr)`` or None when the
-    message is left untouched.
+    Returns ``(sizes, send_times, wait_times)`` as lists of Python
+    numbers, or None when the message is left untouched.  Chunk times
+    are plain floats; on ties and NaN the comparisons pick the operand
+    ``np.minimum`` and ``np.clip`` pick (``a if a < b or a != a else b``
+    and ``lo if w < lo else (hi if w > hi else w)``), so the times are
+    the element-wise numpy results bit for bit, signed zeros included.
     """
-    if pair.size <= 0:
-        return None
     if pair.channel != 0 and not config.transform_collectives:
         return None
 
-    sproc, rproc = trace[pair.src], trace[pair.dst]
-    srec = sproc.records[pair.send_index]
-    rrec = rproc.records[pair.recv_index]
-    ts = float(sproc.virtual_starts()[pair.send_index])
-    tr = float(rproc.virtual_starts()[pair.recv_index])
-
+    srec = sidx.records[pair.send_index]
     production = srec.production
-    consumption = rrec.consumption
+    consumption = ridx.records[pair.recv_index].consumption
 
     elements = None
     if production is not None:
@@ -550,8 +563,9 @@ def _plan_message(trace, pair: MessagePair, config: OverlapConfig,
     n = plan.nchunks
 
     # -- sender schedule ------------------------------------------------------
-    prev_recv_of_buf, next_send_of_buf = lifecycle
-    if config.schedule == "ideal":
+    if not config.advance_sends:
+        send_times = [ts] * n
+    elif config.schedule == "ideal":
         # Uniform production through the production interval (previous
         # send of the buffer -> this send), never before the buffer's
         # own data arrived (forwarded buffers), falling back to the
@@ -559,48 +573,50 @@ def _plan_message(trace, pair: MessagePair, config: OverlapConfig,
         if production is not None:
             p_start = production.interval_start
         else:
-            p_start = regions[pair.src][0][pair.send_index]
-        p_start = max(p_start, prev_recv_of_buf.get((pair.src, pair.send_index), 0.0))
+            p_start = sidx.region_prev[pair.send_index]
+        p_start = max(p_start, sidx.prev_recv_buf.get(pair.send_index, 0.0))
         span = max(ts - p_start, 0.0)
-        send_times = ts - span + (np.arange(1, n + 1) / n) * span
+        send_times = [ts - span + (k / n) * span for k in range(1, n + 1)]
+        send_times = [t if t < ts or t != t else ts for t in send_times]
+    elif production is not None:
+        # Never-stored chunks (NaN) keep the original send point.
+        ready = chunk_ready_times(production, plan).tolist()
+        send_times = [t if t < ts else ts for t in ready]
     else:
-        if production is not None and config.advance_sends:
-            send_times = chunk_ready_times(production, plan)
-            send_times = np.where(np.isnan(send_times), ts, send_times)
-        else:
-            send_times = np.full(n, ts)
-    send_times = np.minimum(send_times, ts)
-    if not config.advance_sends:
-        send_times = np.full(n, ts)
+        send_times = [ts] * n
 
     # -- receiver schedule ------------------------------------------------------
-    t_next = next_recv_t[(pair.dst, pair.recv_index)]
-    t_fwd = next_send_of_buf.get((pair.dst, pair.recv_index), math.inf)
-    if config.schedule == "ideal":
-        # Uniform consumption through the consumption interval (this
-        # receive -> next receive of the buffer), never past the point
-        # where the buffer is forwarded, falling back to the adjacent
-        # compute region when no profile exists.
-        if consumption is not None:
-            c_end = consumption.interval_end
-        else:
-            c_end = regions[pair.dst][1][complete_idx]
-        c_end = min(c_end, t_fwd)
-        span = max(c_end - t_complete, 0.0)
-        wait_times = t_complete + (np.arange(n) / n) * span
-    else:
-        if consumption is not None and config.postpone_receptions:
-            wait_times = chunk_needed_times(consumption, plan)
-            wait_times = np.where(
-                np.isnan(wait_times), consumption.interval_end, wait_times
-            )
-        else:
-            wait_times = np.full(n, t_complete)
-    upper = max(min(t_next, t_fwd), t_complete)
-    wait_times = np.clip(wait_times, t_complete, upper)
     if not config.postpone_receptions:
-        wait_times = np.full(n, t_complete)
+        wait_times = [t_complete] * n
+    else:
+        t_next = ridx.next_recv_t[pair.recv_index]
+        t_fwd = ridx.next_send_buf.get(pair.recv_index, math.inf)
+        if config.schedule == "ideal":
+            # Uniform consumption through the consumption interval (this
+            # receive -> next receive of the buffer), never past the point
+            # where the buffer is forwarded, falling back to the adjacent
+            # compute region when no profile exists.
+            if consumption is not None:
+                c_end = consumption.interval_end
+            else:
+                c_end = ridx.region_next[complete_idx]
+            c_end = min(c_end, t_fwd)
+            span = max(c_end - t_complete, 0.0)
+            wait_times = [t_complete + (k / n) * span for k in range(n)]
+        elif consumption is not None:
+            # Never-loaded chunks wait until the interval ends.
+            end = consumption.interval_end
+            needed = chunk_needed_times(consumption, plan).tolist()
+            wait_times = [end if t != t else t for t in needed]
+        else:
+            wait_times = [t_complete] * n
+        upper = max(min(t_next, t_fwd), t_complete)
+        wait_times = [
+            t_complete if w < t_complete else (upper if w > upper else w)
+            for w in wait_times
+        ]
 
-    if math.isnan(float(np.sum(send_times))) or math.isnan(float(np.sum(wait_times))):
+    # A NaN chunk time (a NaN profile bound) leaves the message untouched.
+    if any(t != t for t in send_times) or any(w != w for w in wait_times):
         return None
-    return plan, send_times, wait_times, ts, tr
+    return plan.sizes.tolist(), send_times, wait_times

@@ -46,6 +46,15 @@ class TestPlanChunks:
         with pytest.raises(ValueError):
             plan_chunks(10, 10, chunks=0)
 
+    def test_memoized_plan_is_read_only(self):
+        plan = plan_chunks(size=800, elements=100, chunks=4)
+        assert plan_chunks(800, 100, 4) is plan
+        with pytest.raises(ValueError):
+            plan.bounds[1] = 7
+        with pytest.raises(ValueError):
+            plan.sizes[0] += 1
+        assert plan.sizes.tolist() == [200, 200, 200, 200]
+
     @given(size=st.integers(0, 10_000), elements=st.integers(0, 5_000),
            chunks=st.integers(1, 32))
     @settings(max_examples=200, deadline=None)

@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+import repro.core.transform as transform_mod
 from repro.core.matching import match_messages
 from repro.core.transform import OverlapConfig, chunk_sub, overlap_transform
 from repro.core.ideal import ideal_transform
 from repro.dimemas import simulate
+from repro.trace.columnar import columnar_of
 from repro.trace.records import (
     CHANNEL_CHUNK,
     CpuBurst,
     ISend,
+    ProcessTrace,
     Recv,
     Send,
+    TraceSet,
 )
 from repro.trace.validate import validate
 from repro.tracer import run_traced
@@ -111,6 +115,47 @@ class TestStructure:
         assert pairs
 
 
+class TestTraceIndexMemo:
+    """The per-trace index is built once and rebuilt when the trace grows."""
+
+    def test_real_and_ideal_share_one_index(self, pipeline_trace, monkeypatch):
+        built = []
+
+        class Counting(transform_mod._TraceIndex):
+            __slots__ = ()
+
+            def __init__(self, trace):
+                built.append(trace)
+                super().__init__(trace)
+
+        monkeypatch.setattr(transform_mod, "_TraceIndex", Counting)
+        overlap_transform(pipeline_trace)
+        ideal_transform(pipeline_trace)
+        overlap_transform(pipeline_trace, chunks=8)
+        assert built == [pipeline_trace]
+
+    def test_append_rebuilds_index(self, pipeline_trace):
+        _, before = overlap_transform(pipeline_trace)
+        pipeline_trace[0].append(Send(peer=1, tag=9, size=64))
+        pipeline_trace[1].append(Recv(peer=0, tag=9, size=64))
+        out, after = overlap_transform(pipeline_trace)
+        assert after.messages_total == before.messages_total + 1
+        fresh = TraceSet(
+            [ProcessTrace(p.rank, p.records) for p in pipeline_trace],
+            meta=dict(pipeline_trace.meta),
+        )
+        expected, _ = overlap_transform(fresh)
+        assert columnar_of(out).digest == columnar_of(expected).digest
+
+    def test_transformed_trace_rejected_every_time(self, pipeline_trace):
+        out, _ = overlap_transform(pipeline_trace)
+        for _ in range(2):  # a rejected trace leaves no index behind
+            with pytest.raises(ValueError, match="already contains"):
+                overlap_transform(out)
+        with pytest.raises(ValueError, match="already contains"):
+            ideal_transform(out)
+
+
 class TestSemantics:
     def test_sends_advanced_into_bursts(self):
         """An early producer's chunk sends move before the burst end."""
@@ -159,6 +204,8 @@ class TestSemantics:
         tr = run_traced(app, 2).trace
         _, stats = overlap_transform(tr)
         assert stats.messages_transformed == 0
+        assert stats.skipped_zero_size == 1
+        assert stats.skipped_no_profile == 0
 
     def test_scalar_collectives_single_chunk_under_ideal(self):
         def app(comm):
