@@ -405,7 +405,7 @@ class InvariantAuditor:
                 for req in reqs:
                     counts[req] = counts.get(req, 0) + 1
             posted = {
-                req: entry for (r, req), entry in sim.req_map.items()
+                req: entry for (r, req), entry in plan.requests.items()
                 if r == rank
             }
             for req, n in counts.items():
@@ -416,11 +416,12 @@ class InvariantAuditor:
                     )
                 entry = posted.get(req)
                 if entry is not None:
-                    kind, tr = entry
+                    is_send, pid = entry
+                    tr = sim.network.transfer(pid)
                     # Eager send requests buffer-complete at the call;
                     # everything else must have completed by now for
                     # the wait to have returned.
-                    if (kind != "send" or tr.rendezvous) and not tr.arrived:
+                    if (not is_send or tr.rendezvous) and not tr.arrived:
                         self._add(
                             "request.lifecycle",
                             f"request {req} was waited but its transfer "

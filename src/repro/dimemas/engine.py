@@ -1,10 +1,12 @@
 """Discrete-event core of the replay simulator.
 
-A minimal, deterministic event loop: events are ``(time, seq,
-callback)`` triples on a binary heap; ties in time break by insertion
-order, so replays are bit-reproducible.  The loop is deliberately
-dumb — all simulation semantics live in :mod:`repro.dimemas.replay`
-and :mod:`repro.dimemas.network`.
+A minimal, deterministic event loop: events are typed ``(time, seq,
+kind, arg)`` entries on a binary heap, run as ``handlers[kind](arg)``;
+ties in time break by insertion order, so replays are bit-reproducible.
+The replay and the network install their handlers once and schedule
+plain data (a rank runner, a pair id), never a closure.  The loop is
+deliberately dumb — all simulation semantics live in
+:mod:`repro.dimemas.replay` and :mod:`repro.dimemas.network`.
 """
 
 from __future__ import annotations
@@ -14,6 +16,10 @@ import math
 from typing import Callable
 
 __all__ = ["EventLoop", "SimulationStalledError", "WatchdogExpired"]
+
+#: Event kinds.  ``CALL`` (the :meth:`EventLoop.at` entry) runs
+#: ``arg()``; the replay and the network install the other handlers.
+CALL, ADVANCE, RESUME, INJECTED, RELEASE, ARRIVE = range(6)
 
 
 class SimulationStalledError(RuntimeError):
@@ -45,7 +51,7 @@ class EventLoop:
     SAMPLE_EVERY = 256
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, int, object]] = []
         self._seq = 0
         #: Current simulation time (seconds).
         self.now = 0.0
@@ -55,9 +61,17 @@ class EventLoop:
         #: depth every :attr:`SAMPLE_EVERY` executed events.  ``None``
         #: (the default) keeps the drain loop on its fast path.
         self.depth_sampler: Callable[[int], None] | None = None
+        #: ``handlers[kind](arg)`` runs one event of that kind.
+        self.handlers: list[Callable[[object], None] | None] = (
+            [lambda fn: fn()] + [None] * ARRIVE
+        )
 
     def at(self, time: float, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` at absolute ``time`` (>= now)."""
+        """Schedule ``fn()`` at absolute ``time`` (>= now)."""
+        self.push(time, CALL, fn)
+
+    def push(self, time: float, kind: int, arg: object) -> None:
+        """Schedule a ``kind`` event with ``arg`` at ``time`` (>= now)."""
         now = self.now
         # Single guard for the common case: a NaN time fails this
         # comparison too, so the fast path costs one branch.
@@ -69,7 +83,7 @@ class EventLoop:
                     f"cannot schedule into the past: t={time} < now={now}"
                 )
             time = now
-        heapq.heappush(self._heap, (time, self._seq, fn))
+        heapq.heappush(self._heap, (time, self._seq, kind, arg))
         self._seq += 1
 
     def after(self, delay: float, fn: Callable[[], None]) -> None:
@@ -95,19 +109,20 @@ class EventLoop:
         budget = math.inf if max_events is None else self.executed + max_events
         time_limit = math.inf if max_time is None else max_time
         sampler = self.depth_sampler
+        handlers = self.handlers
         mask = self.SAMPLE_EVERY - 1
         heap = self._heap
         pop = heapq.heappop
         executed = self.executed
         # ``executed`` stays in a local inside the loop (one store per
         # event saved); the finally clause keeps the attribute exact on
-        # every exit — normal drain, watchdog raise, or a callback
+        # every exit — normal drain, watchdog raise, or a handler
         # raising through us.
         try:
             while heap:
                 if executed >= budget:
                     raise WatchdogExpired("max_events", self.now, executed)
-                time, _, fn = heap[0]
+                time, _, kind, arg = heap[0]
                 if time > time_limit:
                     raise WatchdogExpired("max_sim_time", self.now, executed)
                 pop(heap)
@@ -116,7 +131,7 @@ class EventLoop:
                 if sampler is not None and not (executed & mask):
                     self.executed = executed
                     sampler(len(heap))
-                fn()
+                handlers[kind](arg)
         finally:
             self.executed = executed
         return self.now

@@ -20,100 +20,83 @@ only latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
-
-from .engine import EventLoop
+from .engine import ARRIVE, INJECTED, RELEASE, EventLoop
 from .machine import MachineConfig
 
 __all__ = ["Network", "PerturbedNetwork", "Transfer"]
 
 
-@dataclass(slots=True)
 class Transfer:
-    """One point-to-point message moving through the platform.
+    """Read-only view of one matched message of one replay.
 
-    Filled in progressively by the replay driver (protocol handshake)
-    and the network (timing).  All times are absolute seconds; ``None``
-    = not yet known.  ``slots=True``: transfer attributes are read in
-    the replay inner loop, and a few thousand instances are built per
-    replay.
+    A replay keeps its transfers as pair ids into the flat lists of its
+    :class:`Network`; this view reads them back as attributes.  Views
+    are built only on request (:meth:`Network.transfer` — the audit,
+    insight and post-mortem channels ask) and memoized per pair id for
+    the replay, so ``id()``-keyed maps over views stay consistent.
+    Times are absolute seconds; ``None`` = not yet known.
     """
 
-    src: int
-    dst: int
-    size: int
-    tag: int = 0
-    rendezvous: bool = False
+    __slots__ = ("_net", "pid")
 
-    #: When the sender executed its send record.
-    send_time: float | None = None
-    #: When the receiver posted the matching receive.
-    recv_post_time: float | None = None
-    #: When the transfer was handed to the network.
-    ready_time: float | None = None
-    #: When it acquired bus+ports and started occupying the wire.
-    start_time: float | None = None
-    #: When injection finished (resources released; sender-side done).
-    inject_time: float | None = None
-    #: When the payload arrived at the destination (receiver-side done).
-    arrival_time: float | None = None
+    def __init__(self, net: "Network", pid: int):
+        self._net = net
+        self.pid = pid
 
-    injected: bool = False
-    arrived: bool = False
-    #: Completion callbacks, allocated lazily — most transfers complete
-    #: with no subscriber, and skipping two list allocations per
-    #: transfer is measurable at replay scale.
-    _inject_waiters: list[Callable[[float], None]] | None = None
-    _arrival_waiters: list[Callable[[float], None]] | None = None
+    src = property(lambda self: self._net.src[self.pid])
+    dst = property(lambda self: self._net.dst[self.pid])
+    size = property(lambda self: self._net.size[self.pid])
+    tag = property(lambda self: self._net.tag[self.pid])
+    rendezvous = property(lambda self: self._net.rendezvous[self.pid])
+    send_time = property(lambda self: self._net.send_time[self.pid])
+    recv_post_time = property(lambda self: self._net.recv_post[self.pid])
+    ready_time = property(lambda self: self._net.ready[self.pid])
+    start_time = property(lambda self: self._net.start[self.pid])
+    inject_time = property(lambda self: self._net.inject[self.pid])
+    arrival_time = property(lambda self: self._net.arrival[self.pid])
+    injected = property(lambda self: self.inject_time is not None)
+    arrived = property(lambda self: self.arrival_time is not None)
 
-    # -- completion subscription ------------------------------------------------
-    def on_injected(self, fn: Callable[[float], None]) -> None:
-        """Call ``fn(inject_time)`` once injection completes."""
-        if self.injected:
-            fn(self.inject_time)  # type: ignore[arg-type]
-        elif self._inject_waiters is None:
-            self._inject_waiters = [fn]
-        else:
-            self._inject_waiters.append(fn)
-
-    def on_arrived(self, fn: Callable[[float], None]) -> None:
-        """Call ``fn(arrival_time)`` once the payload is delivered."""
-        if self.arrived:
-            fn(self.arrival_time)  # type: ignore[arg-type]
-        elif self._arrival_waiters is None:
-            self._arrival_waiters = [fn]
-        else:
-            self._arrival_waiters.append(fn)
-
-    def _fire_injected(self, t: float) -> None:
-        self.injected = True
-        self.inject_time = t
-        waiters, self._inject_waiters = self._inject_waiters, None
-        if waiters:
-            for fn in waiters:
-                fn(t)
-
-    def _fire_arrived(self, t: float) -> None:
-        self.arrived = True
-        self.arrival_time = t
-        waiters, self._arrival_waiters = self._arrival_waiters, None
-        if waiters:
-            for fn in waiters:
-                fn(t)
+    def __repr__(self) -> str:
+        return (f"Transfer(pid={self.pid}, src={self.src}, dst={self.dst}, "
+                f"size={self.size})")
 
 
 class Network:
-    """Resource arbiter for transfers on one :class:`MachineConfig`."""
+    """Resource arbiter for the transfers of one replay.
 
-    def __init__(self, loop: EventLoop, nranks: int, cfg: MachineConfig):
+    Transfers are pair ids into per-pair ``src``/``dst``/``size`` lists
+    (shared, read-only).  The per-replay state is flat ``[None] *
+    npairs`` lists of absolute times: ``send_time`` (sender executed
+    its send record) and ``recv_post`` (receiver posted the receive),
+    written by the replay driver; ``ready`` (handed to the network),
+    ``start`` (took bus and ports), ``inject`` (released them) and
+    ``arrival`` (payload delivered), written here.  The network
+    schedules ``INJECTED`` (bypass copies), ``RELEASE`` and ``ARRIVE``
+    events; the replay replaces the ``ARRIVE`` handler with one that
+    also wakes the ranks blocked on the pair.
+    """
+
+    def __init__(self, loop: EventLoop, nranks: int, cfg: MachineConfig,
+                 *, src, dst, size, tag=None, rendezvous=None):
         self.loop = loop
         self.cfg = cfg
         self.nranks = nranks
+        npairs = len(src)
+        self.src, self.dst, self.size = src, dst, size
+        self.tag = tag or [0] * npairs
+        self.rendezvous = rendezvous or [False] * npairs
+        (self.send_time, self.recv_post, self.ready, self.start,
+         self.inject, self.arrival) = ([None] * npairs for _ in range(6))
+        self._views: dict[int, Transfer] = {}
+        handlers = loop.handlers
+        handlers[INJECTED] = self._injected
+        handlers[RELEASE] = self._release
+        handlers[ARRIVE] = self._arrived
         self._free_buses = cfg.buses if cfg.buses is not None else float("inf")
         self._free_out = [cfg.output_ports] * nranks
         self._free_in = [cfg.input_ports] * nranks
-        self._queue: list[Transfer] = []
+        self._queue: list[int] = []
         #: Optional :class:`repro.audit.InvariantAuditor` — when set,
         #: occupancy is cross-checked against capacity at every
         #: acquire/release (one ``is None`` branch per started transfer,
@@ -137,58 +120,64 @@ class Network:
         #: Total wire-occupancy seconds consumed (diagnostics).
         self.busy_seconds = 0.0
 
-    # ------------------------------------------------------------------ #
-    def submit(self, transfer: Transfer) -> None:
-        """Hand a transfer to the network at the current loop time.
+    def transfer(self, pid: int) -> Transfer:
+        """The (memoized) :class:`Transfer` view of pair ``pid``."""
+        view = self._views.get(pid)
+        if view is None:
+            view = self._views[pid] = Transfer(self, pid)
+        return view
 
-        Must be called at ``loop.now == transfer.ready_time`` (the
-        replay driver schedules the call accordingly).
+    # ------------------------------------------------------------------ #
+    def submit(self, pid: int) -> None:
+        """Hand transfer ``pid`` to the network at the current loop time.
+
+        Must be called at ``loop.now == ready[pid]`` (the replay driver
+        schedules the call accordingly).
         """
         loop = self.loop
         now = loop.now
-        transfer.ready_time = now
-        if transfer.size == 0 or transfer.src == transfer.dst:
+        self.ready[pid] = now
+        src = self.src[pid]
+        dst = self.dst[pid]
+        if src == dst or self.size[pid] == 0:
             # Pure sync or self-message: latency only, no resources.
-            transfer.start_time = now
-            loop.at(now, lambda: transfer._fire_injected(loop.now))
-            lat = 0.0 if transfer.src == transfer.dst else self._latency
-            loop.at(now + lat, lambda: transfer._fire_arrived(loop.now))
+            self.start[pid] = now
+            loop.push(now, INJECTED, pid)
+            lat = 0.0 if src == dst else self._bypass_latency(pid, now)
+            loop.push(now + lat, ARRIVE, pid)
             return
-        if self._smp_possible and self.cfg.same_node(transfer.src, transfer.dst):
+        if self._smp_possible and self.cfg.same_node(src, dst):
             # Shared-memory path: no buses, no ports (Dimemas' SMP node
             # model) — a plain copy at intra-node latency/bandwidth.
-            transfer.start_time = self.loop.now
-            copy = self.cfg.intra_transfer_seconds(transfer.size)
-            self.loop.after(copy, lambda: transfer._fire_injected(self.loop.now))
-            self.loop.after(
-                copy + self.cfg.intra_latency,
-                lambda: transfer._fire_arrived(self.loop.now),
-            )
+            self.start[pid] = now
+            copy = self.cfg.intra_transfer_seconds(self.size[pid])
+            loop.push(now + copy, INJECTED, pid)
+            loop.push(now + (copy + self.cfg.intra_latency), ARRIVE, pid)
             return
-        self._enqueue(transfer)
-        if self.insight is not None and transfer.start_time is None:
+        self._enqueue(pid)
+        if self.insight is not None and self.start[pid] is None:
             # Queued: some resource is genuinely exhausted for it.
             self.insight.note_queued(
-                now, transfer, self._queue_cause(transfer),
+                now, self.transfer(pid), self._queue_cause(pid),
                 len(self._queue),
             )
 
-    def _enqueue(self, t: Transfer) -> None:
-        """Start ``t`` at once or append it to the queue, in O(1).
+    def _enqueue(self, pid: int) -> None:
+        """Start ``pid`` at once or append it to the queue, in O(1).
 
         The queue is settled (see :meth:`_try_start`): every queued
         transfer is blocked, and only a release can unblock one.  So
-        starting ``t`` cannot overtake an earlier transfer that could
+        starting ``pid`` cannot overtake an earlier transfer that could
         have started, and appending it keeps the queue settled.
         """
-        if self._resources_free(t):
-            self._start(t)
+        if self._resources_free(pid):
+            self._start(pid)
         else:
-            self._queue.append(t)
+            self._queue.append(pid)
 
     # ------------------------------------------------------------------ #
-    def _queue_cause(self, t: Transfer) -> str:
-        """Which resource class is blocking ``t`` right now.
+    def _queue_cause(self, pid: int) -> str:
+        """Which resource class is blocking ``pid`` right now.
 
         Checked in bus → output-port → input-port order, mirroring
         :meth:`_resources_free`; the shared bus pool blocking everyone
@@ -196,17 +185,17 @@ class Network:
         """
         if self._free_buses < 1:
             return "bus_contention"
-        if self._free_out[t.src] < 1:
+        if self._free_out[self.src[pid]] < 1:
             return "injection_port"
-        if self._free_in[t.dst] < 1:
+        if self._free_in[self.dst[pid]] < 1:
             return "endpoint_port"
         return "bus_contention"
 
-    def _resources_free(self, t: Transfer) -> bool:
+    def _resources_free(self, pid: int) -> bool:
         return (
             self._free_buses >= 1
-            and self._free_out[t.src] >= 1
-            and self._free_in[t.dst] >= 1
+            and self._free_out[self.src[pid]] >= 1
+            and self._free_in[self.dst[pid]] >= 1
         )
 
     def _try_start(self) -> None:
@@ -230,59 +219,78 @@ class Network:
         queue = self._queue
         free_out = self._free_out
         free_in = self._free_in
+        src = self.src
+        dst = self.dst
         i, n = 0, len(queue)
         while i < n:
-            t = queue[i]
-            if free_out[t.src] >= 1 and free_in[t.dst] >= 1:
+            pid = queue[i]
+            if free_out[src[pid]] >= 1 and free_in[dst[pid]] >= 1:
                 # Removed before _start so the insight ``queued`` count
                 # excludes the transfer being started.
                 del queue[i]
                 n -= 1
-                self._start(t)
+                self._start(pid)
                 if self._free_buses < 1:
                     return
             else:
                 i += 1
 
-    def _start(self, t: Transfer) -> None:
+    def _start(self, pid: int) -> None:
         self._free_buses -= 1
-        self._free_out[t.src] -= 1
-        self._free_in[t.dst] -= 1
+        self._free_out[self.src[pid]] -= 1
+        self._free_in[self.dst[pid]] -= 1
         active = self._active + 1
         self._active = active
         if active > self.peak_active:
             self.peak_active = active
         if self.auditor is not None:
-            self.auditor.check_occupancy(self, t)
+            self.auditor.check_occupancy(self, self.transfer(pid))
         loop = self.loop
-        t.start_time = loop.now
+        now = loop.now
+        self.start[pid] = now
         if self.insight is not None:
-            self.insight.note_start(loop.now, active, len(self._queue))
+            self.insight.note_start(now, active, len(self._queue))
         # Same arithmetic as cfg.transfer_seconds, minus the property
         # chase — this runs once per started transfer.
-        occupancy = t.size / self._bandwidth
-        self.busy_seconds += occupancy
-        loop.at(loop.now + occupancy, lambda: self._finish_injection(t))
+        occupancy = self.size[pid] / self._bandwidth
+        loop.push(self._wire_end(pid, now, occupancy), RELEASE, pid)
 
-    def _finish_injection(self, t: Transfer) -> None:
+    def _release(self, pid: int) -> None:
+        """``RELEASE`` handler: the wire time is over."""
         self._free_buses += 1
-        self._free_out[t.src] += 1
-        self._free_in[t.dst] += 1
+        self._free_out[self.src[pid]] += 1
+        self._free_in[self.dst[pid]] += 1
         self._active -= 1
         if self.auditor is not None:
-            self.auditor.check_release(self, t)
-        if self.insight is not None:
-            self.insight.note_release(
-                self.loop.now, self._active, len(self._queue)
-            )
+            self.auditor.check_release(self, self.transfer(pid))
         loop = self.loop
-        # Injection callbacks run before the settle below, while the
-        # queue may be unsettled, so they must not submit (the replay
-        # subscribes only to arrivals, which fire as later events).
-        t._fire_injected(loop.now)
-        loop.at(loop.now + self._latency, lambda: t._fire_arrived(loop.now))
+        now = loop.now
+        if self.insight is not None:
+            self.insight.note_release(now, self._active, len(self._queue))
+        self.inject[pid] = now
+        loop.push(self._delivery(pid, now), ARRIVE, pid)
         if self._queue:
             self._try_start()
+
+    def _injected(self, pid: int) -> None:
+        self.inject[pid] = self.loop.now
+
+    def _arrived(self, pid: int) -> None:
+        self.arrival[pid] = self.loop.now
+
+    # -- platform timing (overridden by PerturbedNetwork) -------------- #
+    def _wire_end(self, pid: int, now: float, occupancy: float) -> float:
+        """When ``pid``, starting at ``now``, releases its resources."""
+        self.busy_seconds += occupancy
+        return now + occupancy
+
+    def _delivery(self, pid: int, now: float) -> float:
+        """Arrival time of ``pid``, injected at ``now``."""
+        return now + self._latency
+
+    def _bypass_latency(self, pid: int, now: float) -> float:
+        """Latency of a zero-byte ``pid`` submitted at ``now``."""
+        return self._latency
 
 
 class PerturbedNetwork(Network):
@@ -307,8 +315,8 @@ class PerturbedNetwork(Network):
     """
 
     def __init__(self, loop: EventLoop, nranks: int, cfg: MachineConfig,
-                 schedule) -> None:
-        super().__init__(loop, nranks, cfg)
+                 schedule, **pairs) -> None:
+        super().__init__(loop, nranks, cfg, **pairs)
         self.schedule = schedule
         #: Piecewise wire profile: (t0, t1, factor) with stall outages
         #: as factor 0.0.  Restart outages are kept apart — they do not
@@ -329,8 +337,6 @@ class PerturbedNetwork(Network):
         )
         #: Outage ends with a pending wake-up already scheduled.
         self._woken: set[float] = set()
-        #: Total extra seconds the schedule injected (diagnostics).
-        self.perturb_excess_seconds = 0.0
 
     # -- schedule lookups ---------------------------------------------- #
     def _extra_latency(self, t: float) -> float:
@@ -346,10 +352,9 @@ class PerturbedNetwork(Network):
                 return w1
         return None
 
-    def _note_excess(self, t: Transfer, seconds: float) -> None:
-        self.perturb_excess_seconds += seconds
+    def _note_excess(self, pid: int, seconds: float) -> None:
         if self.insight is not None:
-            self.insight.note_perturbed(t, seconds)
+            self.insight.note_perturbed(self.transfer(pid), seconds)
 
     # -- wire-time integration ----------------------------------------- #
     def _integrate(self, start: float, occupancy: float) -> float:
@@ -398,36 +403,24 @@ class PerturbedNetwork(Network):
             t = nxt[1]
 
     # -- Network overrides --------------------------------------------- #
-    def submit(self, transfer: Transfer) -> None:
-        if transfer.size == 0 or transfer.src == transfer.dst:
-            # Pure sync / self-message bypasses buses and ports but not
-            # the wire pipeline, so latency spikes still apply.
-            loop = self.loop
-            now = loop.now
-            transfer.ready_time = now
-            transfer.start_time = now
-            loop.at(now, lambda: transfer._fire_injected(loop.now))
-            if transfer.src == transfer.dst:
-                lat = 0.0
-            else:
-                extra = self._extra_latency(now)
-                lat = self._latency + extra
-                if extra > 0.0:
-                    self._note_excess(transfer, extra)
-            loop.at(now + lat, lambda: transfer._fire_arrived(loop.now))
-            return
-        super().submit(transfer)
+    def _bypass_latency(self, pid: int, now: float) -> float:
+        # Pure sync bypasses buses and ports but not the wire pipeline,
+        # so latency spikes still apply.
+        extra = self._extra_latency(now)
+        if extra > 0.0:
+            self._note_excess(pid, extra)
+        return self._latency + extra
 
-    def _queue_cause(self, t: Transfer) -> str:
+    def _queue_cause(self, pid: int) -> str:
         if self._outage_spans and self._outage_until(self.loop.now) is not None:
             return "perturbation"
-        return super()._queue_cause(t)
+        return super()._queue_cause(pid)
 
-    def _enqueue(self, t: Transfer) -> None:
+    def _enqueue(self, pid: int) -> None:
         # An outage ends with no release, so the queue may be unsettled
         # when a transfer arrives at the instant it lifts (before the
         # wake-up fires): settle the whole queue, FIFO, every time.
-        self._queue.append(t)
+        self._queue.append(pid)
         self._try_start()
 
     def _try_start(self) -> None:
@@ -441,50 +434,19 @@ class PerturbedNetwork(Network):
             self._woken.add(until)
             self.loop.at(until, self._try_start)
 
-    def _start(self, t: Transfer) -> None:
-        self._free_buses -= 1
-        self._free_out[t.src] -= 1
-        self._free_in[t.dst] -= 1
-        active = self._active + 1
-        self._active = active
-        if active > self.peak_active:
-            self.peak_active = active
-        if self.auditor is not None:
-            self.auditor.check_occupancy(self, t)
-        loop = self.loop
-        t.start_time = loop.now
-        if self.insight is not None:
-            self.insight.note_start(loop.now, active, len(self._queue))
-        occupancy = t.size / self._bandwidth
-        finish = self._wire_finish(loop.now, occupancy)
-        elapsed = finish - loop.now
+    def _wire_end(self, pid: int, now: float, occupancy: float) -> float:
+        finish = self._wire_finish(now, occupancy)
+        elapsed = finish - now
         # Wall-on-the-wire, not nominal occupancy: a stalled or slowed
         # transfer holds its bus and ports the whole time.
         self.busy_seconds += elapsed
         excess = elapsed - occupancy
         if excess > 0.0:
-            self._note_excess(t, excess)
-        loop.at(finish, lambda: self._finish_injection(t))
+            self._note_excess(pid, excess)
+        return finish
 
-    def _finish_injection(self, t: Transfer) -> None:
-        self._free_buses += 1
-        self._free_out[t.src] += 1
-        self._free_in[t.dst] += 1
-        self._active -= 1
-        if self.auditor is not None:
-            self.auditor.check_release(self, t)
-        if self.insight is not None:
-            self.insight.note_release(
-                self.loop.now, self._active, len(self._queue)
-            )
-        loop = self.loop
-        t._fire_injected(loop.now)
-        extra = self._extra_latency(loop.now)
+    def _delivery(self, pid: int, now: float) -> float:
+        extra = self._extra_latency(now)
         if extra > 0.0:
-            self._note_excess(t, extra)
-        loop.at(
-            loop.now + self._latency + extra,
-            lambda: t._fire_arrived(loop.now),
-        )
-        if self._queue:
-            self._try_start()
+            self._note_excess(pid, extra)
+        return now + self._latency + extra

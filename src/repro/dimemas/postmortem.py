@@ -308,15 +308,14 @@ def _blocked_op(runner, sim) -> BlockedOp:
     waiting: list[int] = []
     detail = ""
 
+    net = sim.network
     if kind in ("Send", "ISend"):
-        tr = sim.send_tr[rank][idx]
-        if tr is None:
+        if plan.send_slot[rank][idx] < 0:
             detail = "unmatched send (no receive pairs with it)"
         elif peer is not None:
             waiting.append(peer)
     elif kind in ("Recv", "IRecv"):
-        tr = sim.recv_tr[rank][idx]
-        if tr is None:
+        if plan.recv_slot[rank][idx] < 0:
             detail = "unmatched receive (no send pairs with it)"
         elif peer is not None:
             waiting.append(peer)
@@ -324,14 +323,15 @@ def _blocked_op(runner, sim) -> BlockedOp:
         pend_peers = []
         missing = []
         for req in plan.waits[rank][idx]:
-            entry = sim.req_map.get((rank, req))
+            entry = plan.requests.get((rank, req))
             if entry is None:
                 missing.append(req)
                 continue
-            req_kind, tr = entry
-            if tr.arrived or (req_kind == "send" and not tr.rendezvous):
+            is_send, pid = entry
+            if net.arrival[pid] is not None or (
+                    is_send and not net.rendezvous[pid]):
                 continue
-            pend_peers.append(tr.src if req_kind == "recv" else tr.dst)
+            pend_peers.append(net.dst[pid] if is_send else net.src[pid])
         waiting.extend(pend_peers)
         if missing:
             detail = f"request(s) {missing[:8]} were never posted"

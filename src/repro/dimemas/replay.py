@@ -45,11 +45,12 @@ Replaying is the inner loop of every experiment (a single bandwidth
 bisection issues ~60 replays of the same trace), so the per-trace
 preprocessing is factored into a cached :class:`_ReplayPlan` built on
 the packed columnar form (:mod:`repro.trace.columnar`): message
-matching and burst coalescing run once per trace *content*, and the
-dispatch loop walks plain int/float lists instead of record objects.
-Plans are keyed by the trace's **content digest** in a bounded LRU, so
-a trace loaded from a cache (a different object with identical bytes)
-reuses the existing plan instead of re-matching from scratch.
+matching, burst coalescing and the transfer index run once per trace
+*content*.  A replay keeps each transfer as a pair id into flat lists
+and each event as a typed heap entry: no per-transfer or per-event
+object.  Plans are keyed by the trace's **content digest** in a bounded
+LRU, so a trace loaded from a cache (a different object with identical
+bytes) reuses the existing plan instead of re-matching from scratch.
 
 :func:`simulate` accepts either a :class:`~repro.trace.records.TraceSet`
 or a :class:`~repro.trace.columnar.ColumnarTrace` — workers fed the
@@ -61,7 +62,6 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Callable
 
 from ..obs import get_registry, is_enabled as _obs_enabled, span as _span
 from ..core.matching import match_columnar
@@ -80,7 +80,7 @@ from ..trace.columnar import (
 )
 from ..trace.records import CollOp, GlobalOp, TraceSet
 from .collectives import collective_cost
-from .engine import EventLoop, WatchdogExpired
+from .engine import ADVANCE, ARRIVE, RESUME, EventLoop, WatchdogExpired
 from .machine import MachineConfig
 from .network import Network, PerturbedNetwork, Transfer
 from .postmortem import (
@@ -125,7 +125,8 @@ class _CollectiveSync:
             self.completed += 1
             del self._groups[(rec.context, rec.seq)]
             for r, _, _ in group:
-                self.loop.at(t_done, _make_resume(r, t_done))
+                r._latest = t_done
+                self.loop.push(t_done, RESUME, r)
 
     def stuck(self) -> list[str]:
         return [
@@ -135,18 +136,15 @@ class _CollectiveSync:
         ]
 
 
-def _make_resume(runner: "_RankRunner", t: float) -> Callable[[], None]:
-    return lambda: runner._resume(t)
-
-
 class _RankRunner:
     """Sequential replay cursor of one rank."""
 
     __slots__ = (
         "sim", "rank", "ops", "durs", "events_at", "waits_at", "colls_at",
-        "sizes", "rvs", "send_tr", "recv_tr", "n",
+        "sizes", "rvs", "send_slot", "recv_slot", "n",
         "idx", "now", "finished", "states", "events", "cpu_ratio",
         "_block_label", "_block_start", "_aud", "_ins", "_block_trs",
+        "_pending", "_latest",
     )
 
     def __init__(self, sim: "_Simulation", rank: int):
@@ -169,13 +167,13 @@ class _RankRunner:
             if noisy is not None:
                 self.durs = noisy
         self.events_at = plan.events[rank]
-        self.waits_at = plan.waits[rank]
+        self.waits_at = plan.wait_pairs[rank]
         self.colls_at = plan.colls[rank]
         rc = plan.col.ranks[rank]
         self.sizes = rc.size
         self.rvs = rc.rv
-        self.send_tr = sim.send_tr[rank]
-        self.recv_tr = sim.recv_tr[rank]
+        self.send_slot = plan.send_slot[rank]
+        self.recv_slot = plan.recv_slot[rank]
         self.n = len(self.ops)
         self.idx = 0
         self.now = 0.0
@@ -194,6 +192,9 @@ class _RankRunner:
         # branch on the blocking paths only.
         self._ins = sim.insight
         self._block_trs: tuple = ()
+        #: Transfers still awaited while blocked; resume time (max).
+        self._pending = 0
+        self._latest = 0.0
 
     # -- state bookkeeping ---------------------------------------------------
     def _push_state(self, label: str, t0: float, t1: float) -> None:
@@ -213,8 +214,21 @@ class _RankRunner:
                 self.rank, self.now, f"block ({label}) at record {self.idx}"
             )
 
+    def _await(self, pids, latest: float) -> None:
+        """Block until every pair in ``pids`` has arrived; resume at the
+        max of ``latest`` and their arrivals (:meth:`_Simulation._arrive`)."""
+        self._pending = len(pids)
+        self._latest = latest
+        waiters = self.sim.waiters
+        for pid in pids:
+            waiters.setdefault(pid, []).append(self.rank)
+
+    def _wake(self) -> None:
+        """``RESUME`` handler (collectives set ``_latest`` to the end)."""
+        self._resume(self._latest)
+
     def _resume(self, t: float) -> None:
-        """Completion callback: close the blocked state and continue."""
+        """Completion: close the blocked state and continue."""
         if self._aud is not None:
             self._aud.note(
                 self.rank, t,
@@ -237,25 +251,22 @@ class _RankRunner:
         self.idx += 1
         self.advance()
 
-    def blocked_description(self) -> str:
-        from ..trace.columnar import OP_NAMES
-        kind = OP_NAMES[self.ops[self.idx]] if self.idx < self.n else "end"
-        return (
-            f"rank {self.rank} at record {self.idx} "
-            f"({kind}), state={self._block_label}"
-        )
-
     # -- the replay loop ------------------------------------------------------
     def advance(self) -> None:
+        """``ADVANCE`` handler: run records until the rank blocks."""
         sim = self.sim
         loop = sim.loop
-        network_submit = sim.network.submit
+        net = sim.network
+        network_submit = net.submit
+        send_time = net.send_time
+        recv_post = net.recv_post
+        arrival = net.arrival
+        rdv = net.rendezvous
         cpu_ratio = self.cpu_ratio
-        eager_threshold = sim.cfg.eager_threshold
         ops = self.ops
         durs = self.durs
-        send_tr = self.send_tr
-        recv_tr = self.recv_tr
+        send_slot = self.send_slot
+        recv_slot = self.recv_slot
         push_state = self._push_state
         n = self.n
         while self.idx < n:
@@ -276,12 +287,12 @@ class _RankRunner:
             # Side-effecting record: only execute once the global clock
             # has caught up (causal resource arbitration).
             if self.now > loop.now + 1e-12:
-                loop.at(self.now, self.advance)
+                loop.push(self.now, ADVANCE, self)
                 return
 
             if op == _OP_SEND or op == _OP_ISEND:
-                tr = send_tr[idx]
-                if tr is None:
+                pid = send_slot[idx]
+                if pid < 0:
                     # Unmatched send (malformed trace): no receive will
                     # ever pair with it.  Eager sends complete locally
                     # (buffered, like MPI); a rendezvous Send blocks
@@ -290,34 +301,34 @@ class _RankRunner:
                     rv = self.rvs[idx]
                     rendezvous = (
                         bool(rv) if rv >= 0
-                        else self.sizes[idx] > eager_threshold
+                        else self.sizes[idx] > sim.cfg.eager_threshold
                     )
                     if op == _OP_ISEND or not rendezvous:
                         self.idx = idx + 1
                         continue
                     self._block("Send")
                     return
-                tr.send_time = self.now
-                if not tr.rendezvous:
+                send_time[pid] = self.now
+                if not rdv[pid]:
                     # Eager: enqueue the transfer and move on (OS-bypass
                     # NIC — zero sender cost for Send and ISend alike).
-                    network_submit(tr)
+                    network_submit(pid)
                     self.idx = idx + 1
                     continue
-                if tr.recv_post_time is not None:
-                    network_submit(tr)
+                if recv_post[pid] is not None:
+                    network_submit(pid)
                 if op == _OP_ISEND:
                     self.idx = idx + 1
                     continue
                 self._block("Send")
                 if self._ins is not None:
-                    self._block_trs = (tr,)
-                tr.on_arrived(self._resume)
+                    self._block_trs = (net.transfer(pid),)
+                self._await((pid,), _NO_TIME)
                 return
 
             if op == _OP_RECV or op == _OP_IRECV:
-                tr = recv_tr[idx]
-                if tr is None:
+                pid = recv_slot[idx]
+                if pid < 0:
                     # Unmatched receive: nothing will ever arrive.  An
                     # IRecv's dangling request is caught at its Wait; a
                     # blocking Recv blocks forever (diagnosable).
@@ -326,54 +337,54 @@ class _RankRunner:
                         continue
                     self._block("Waiting a message")
                     return
-                tr.recv_post_time = self.now
-                if tr.rendezvous and tr.send_time is not None and tr.ready_time is None:
-                    network_submit(tr)
+                recv_post[pid] = self.now
+                if (rdv[pid] and send_time[pid] is not None
+                        and net.ready[pid] is None):
+                    network_submit(pid)
                 if op == _OP_IRECV:
                     self.idx = idx + 1
                     continue
-                if tr.arrived:
-                    if tr.arrival_time > self.now:
-                        self.now = tr.arrival_time
+                t = arrival[pid]
+                if t is not None:
+                    if t > self.now:
+                        self.now = t
                     self.idx = idx + 1
                     continue
                 self._block("Waiting a message")
                 if self._ins is not None:
-                    self._block_trs = (tr,)
-                tr.on_arrived(self._resume)
+                    self._block_trs = (net.transfer(pid),)
+                self._await((pid,), _NO_TIME)
                 return
 
             if op == _OP_WAIT:
                 # Eager send requests are buffered (complete at the send
                 # call); everything else completes at message arrival.
-                pend: list[Transfer] = []
+                pend: list[int] = []
                 latest = self.now
                 dangling = False
-                req_map = sim.req_map
-                rank = self.rank
                 # Attribution needs every transfer the Wait inspects —
                 # already-arrived ones included, since the latest
                 # arrival (pending or not) defines the resume time.
-                seen: list[Transfer] | None = (
+                seen: list[int] | None = (
                     [] if self._ins is not None else None
                 )
-                for req in self.waits_at[idx]:
-                    entry = req_map.get((rank, req))
+                for entry in self.waits_at[idx]:
                     if entry is None:
                         # Request belongs to an unmatched ISend/IRecv
                         # (or was never posted): it can never complete.
                         dangling = True
                         continue
-                    kind, tr = entry
-                    if kind == "send" and not tr.rendezvous:
+                    is_send, pid = entry
+                    if is_send and not rdv[pid]:
                         continue
                     if seen is not None:
-                        seen.append(tr)
-                    if tr.arrived:
-                        if tr.arrival_time > latest:
-                            latest = tr.arrival_time
+                        seen.append(pid)
+                    t = arrival[pid]
+                    if t is not None:
+                        if t > latest:
+                            latest = t
                     else:
-                        pend.append(tr)
+                        pend.append(pid)
                 if dangling:
                     self._block("Wait/WaitAll")
                     return
@@ -383,19 +394,8 @@ class _RankRunner:
                     continue
                 self._block("Wait/WaitAll")
                 if seen is not None:
-                    self._block_trs = tuple(seen)
-                remaining = len(pend)
-                acc = [latest]
-
-                def _done(t: float) -> None:
-                    nonlocal remaining
-                    acc[0] = max(acc[0], t)
-                    remaining -= 1
-                    if remaining == 0:
-                        self._resume(acc[0])
-
-                for tr in pend:
-                    tr.on_arrived(_done)
+                    self._block_trs = tuple(net.transfer(p) for p in seen)
+                self._await(pend, latest)
                 return
 
             if op == _OP_COLL:
@@ -408,6 +408,11 @@ class _RankRunner:
             )
         if not self.finished:
             self.finished = True
+
+
+#: Running-max seed of a single-transfer block: the rank resumes at
+#: exactly the arrival time.
+_NO_TIME = float("-inf")
 
 
 def _coalesce_columnar(col: ColumnarTrace) -> ColumnarTrace:
@@ -485,14 +490,20 @@ class _ReplayPlan:
     Computed once per trace *content* (keyed by columnar digest) and
     shared by every subsequent :func:`simulate` call on equal bytes:
     the coalesced columns, per-rank opcode/duration lists for the
-    dispatch loop, side-table lookups for the rare records, and the
-    message matching.  Everything platform-dependent (transfer
+    dispatch loop, side-table lookups for the rare records, the message
+    matching, and the *transfer index*: each matched message is a pair
+    id (its matching position) into per-pair ``src``/``dst``/``size``/
+    ``tag``/``rv`` lists; per-rank ``send_slot``/``recv_slot`` lists map
+    a record index to its pair id (-1: none), and each Wait's requests
+    are resolved to ``(is_send, pair_id)`` (``None``: never posted by a
+    matched ISend/IRecv).  Everything platform-dependent (transfer
     protocol, network state) stays in :class:`_Simulation`.
     """
 
     __slots__ = (
         "digest", "col", "ops", "durs", "events", "waits", "colls",
-        "pairs", "unmatched", "pair_specs", "_rdv_cache",
+        "pairs", "unmatched", "src", "dst", "size", "tag", "rv",
+        "send_slot", "recv_slot", "requests", "wait_pairs", "_rdv_cache",
     )
 
     def __init__(self, col: ColumnarTrace):
@@ -535,23 +546,32 @@ class _ReplayPlan:
         #: pairs so the replay can diagnose the resulting stall instead
         #: of aborting before it starts.
         self.pairs, self.unmatched = match_columnar(col)
-        #: Flattened pair prototypes for :class:`_Simulation`: one
-        #: tuple ``(src, dst, si, ri, size, tag, rv, send_req,
-        #: recv_req)`` per matched message, with the request ids
-        #: pre-resolved (None unless the endpoint is ISend/IRecv).
-        #: The per-platform init loop then touches no columns at all.
-        specs = []
-        ranks = col.ranks
-        for pair in self.pairs:
-            src, dst = pair.src, pair.dst
-            si, ri = pair.send_index, pair.recv_index
-            src_rc, dst_rc = ranks[src], ranks[dst]
-            specs.append((
-                src, dst, si, ri, pair.size, pair.tag, src_rc.rv[si],
-                src_rc.req[si] if src_rc.op[si] == _OP_ISEND else None,
-                dst_rc.req[ri] if dst_rc.op[ri] == _OP_IRECV else None,
-            ))
-        self.pair_specs = specs
+        ranks, pairs = col.ranks, self.pairs
+        self.src = [p.src for p in pairs]
+        self.dst = [p.dst for p in pairs]
+        self.size = [p.size for p in pairs]
+        self.tag = [p.tag for p in pairs]
+        self.rv = [ranks[p.src].rv[p.send_index] for p in pairs]
+        self.send_slot = [[-1] * rc.n for rc in ranks]
+        self.recv_slot = [[-1] * rc.n for rc in ranks]
+        #: ``(rank, request id) -> (is_send, pair id)`` of every matched
+        #: ISend/IRecv (a reused request id keeps its last pair).
+        requests: dict[tuple[int, int], tuple[bool, int]] = {}
+        for pid, p in enumerate(pairs):
+            si, ri = p.send_index, p.recv_index
+            src_rc, dst_rc = ranks[p.src], ranks[p.dst]
+            self.send_slot[p.src][si] = pid
+            self.recv_slot[p.dst][ri] = pid
+            if src_rc.op[si] == _OP_ISEND:
+                requests[(p.src, src_rc.req[si])] = (True, pid)
+            if dst_rc.op[ri] == _OP_IRECV:
+                requests[(p.dst, dst_rc.req[ri])] = (False, pid)
+        self.requests = requests
+        self.wait_pairs: list[dict[int, tuple]] = [
+            {i: tuple(requests.get((rank, req)) for req in reqs)
+             for i, reqs in wt.items()}
+            for rank, wt in enumerate(self.waits)
+        ]
         #: Per-eager-threshold rendezvous flags (one bool per pair).
         #: A campaign sweeps bandwidth/latency far more often than the
         #: eager threshold, so this usually holds a single entry.
@@ -563,8 +583,7 @@ class _ReplayPlan:
         if flags is None:
             flags = [
                 bool(rv) if rv >= 0 else size > eager_threshold
-                for (_s, _d, _si, _ri, size, _tag, rv, _sq, _rq)
-                in self.pair_specs
+                for rv, size in zip(self.rv, self.size)
             ]
             if len(self._rdv_cache) >= 8:
                 self._rdv_cache.clear()
@@ -599,7 +618,11 @@ def _plan_for(trace: "TraceSet | ColumnarTrace") -> _ReplayPlan:
 
 
 class _Simulation:
-    """Shared replay state: loop, network, transfers, runners."""
+    """Shared replay state: loop, network, waiters, runners.
+
+    Transfers are the plan's pair ids; their timing lives in the
+    network's flat lists.
+    """
 
     def __init__(
         self,
@@ -615,54 +638,52 @@ class _Simulation:
         self.nranks = col.nranks
         self.unmatched = plan.unmatched
         self.cfg = cfg
-        self.loop = EventLoop()
+        self.loop = loop = EventLoop()
         #: Active perturbation schedule (None = pristine platform).
         self.pert = pert
         # The pristine path builds the plain Network — the perturbed
         # arbiter exists only as a subclass, so disabling perturbation
         # provably removes every perturbation branch from the replay.
-        self.network = (
-            Network(self.loop, col.nranks, cfg) if pert is None
-            else PerturbedNetwork(self.loop, col.nranks, cfg, pert)
+        pairs = dict(
+            src=plan.src, dst=plan.dst, size=plan.size, tag=plan.tag,
+            rendezvous=plan.rendezvous_flags(cfg.eager_threshold),
         )
-        self.coll = _CollectiveSync(col.nranks, cfg, self.loop)
+        self.network = (
+            Network(loop, col.nranks, cfg, **pairs) if pert is None
+            else PerturbedNetwork(loop, col.nranks, cfg, pert, **pairs)
+        )
+        self.coll = _CollectiveSync(col.nranks, cfg, loop)
         self.auditor = auditor
         if auditor is not None:
             auditor.attach_network(self.network)
         self.insight = insight
         if insight is not None:
             self.network.insight = insight
-
-        #: Per-rank, per-record-index transfer slots (None = unmatched
-        #: or not a point-to-point record).  Flat list indexing here is
-        #: the hottest lookup of the replay loop.
-        self.send_tr: list[list[Transfer | None]] = [
-            [None] * rc.n for rc in col.ranks
-        ]
-        self.recv_tr: list[list[Transfer | None]] = [
-            [None] * rc.n for rc in col.ranks
-        ]
-        req_map: dict[tuple[int, int], tuple[str, Transfer]] = {}
-        self.req_map = req_map
-        transfers: list[Transfer] = []
-        self.transfers = transfers
-
-        send_tr = self.send_tr
-        recv_tr = self.recv_tr
-        append = transfers.append
-        rdv = plan.rendezvous_flags(cfg.eager_threshold)
-        for spec, rendezvous in zip(plan.pair_specs, rdv):
-            src, dst, si, ri, size, tag, _rv, sreq, rreq = spec
-            tr = Transfer(src, dst, size, tag, rendezvous)
-            append(tr)
-            send_tr[src][si] = tr
-            recv_tr[dst][ri] = tr
-            if sreq is not None:
-                req_map[(src, sreq)] = ("send", tr)
-            if rreq is not None:
-                req_map[(dst, rreq)] = ("recv", tr)
-
+        #: Pair id -> ranks blocked until that pair arrives.
+        self.waiters: dict[int, list[int]] = {}
         self.runners = [_RankRunner(self, r) for r in range(col.nranks)]
+        handlers = loop.handlers
+        handlers[ADVANCE] = _RankRunner.advance
+        handlers[RESUME] = _RankRunner._wake
+        handlers[ARRIVE] = self._arrive
+
+    def _arrive(self, pid: int) -> None:
+        """``ARRIVE`` handler: record the arrival and count it down on
+        every waiting rank; one resumes when its last transfer is in."""
+        now = self.loop.now
+        self.network.arrival[pid] = now
+        for rank in self.waiters.pop(pid, ()):
+            runner = self.runners[rank]
+            if now > runner._latest:
+                runner._latest = now
+            runner._pending -= 1
+            if runner._pending == 0:
+                runner._resume(runner._latest)
+
+    @property
+    def transfers(self) -> list[Transfer]:
+        """Views of every matched message (audit and post-mortem)."""
+        return [self.network.transfer(p) for p in range(len(self.plan.src))]
 
 
 def simulate(
@@ -740,7 +761,7 @@ def simulate(
     with sp:
         sim = _Simulation(trace, cfg, auditor, insight, pert)
         for runner in sim.runners:
-            sim.loop.at(0.0, runner.advance)
+            sim.loop.push(0.0, ADVANCE, runner)
         budget_events = max_events if max_events is not None else cfg.max_events
         budget_time = max_sim_time if max_sim_time is not None else cfg.max_sim_time
         if _obs_enabled():
@@ -773,11 +794,13 @@ def simulate(
         # final order — cheaper than sorting dataclasses through a key
         # lambda.  The enumeration index reproduces the stable-sort tie
         # order on equal (t_send, src, dst).
+        net = sim.network
         raw = [
-            (t.send_time, t.src, t.dst, i, t.start_time, t.arrival_time,
-             t.size, t.tag)
-            for i, t in enumerate(sim.transfers)
-            if t.arrival_time is not None and t.send_time is not None
+            (t_send, src, dst, i, t_start, t_recv, size, tag)
+            for i, (t_send, src, dst, t_start, t_recv, size, tag) in enumerate(
+                zip(net.send_time, net.src, net.dst, net.start, net.arrival,
+                    net.size, net.tag))
+            if t_recv is not None and t_send is not None
         ]
         raw.sort()
         messages = [

@@ -17,7 +17,8 @@ because the collector only observes; it never schedules.
 
 Classification of the raw intervals into root causes happens post-hoc
 in :mod:`repro.insight.attribution`, once every transfer's timing
-fields are final.
+fields are final (transfer views read the replay's timing lists, so
+they see the final values).
 """
 
 from __future__ import annotations
@@ -50,8 +51,10 @@ class InsightCollector:
     def __init__(self) -> None:
         #: Raw wait intervals ``(rank, state_label, t0, t1, transfers)``
         #: where ``transfers`` is a tuple of the
-        #: :class:`~repro.dimemas.network.Transfer` objects the rank was
-        #: blocked on (empty for collectives / unmatched records).
+        #: :class:`~repro.dimemas.network.Transfer` views the rank was
+        #: blocked on (empty for collectives / unmatched records).  A
+        #: replay memoizes one view per message, so the ``id()``-keyed
+        #: maps below and these tuples name transfers consistently.
         self.waits: list[tuple[int, str, float, float, tuple]] = []
         #: ``id(transfer) -> cause`` recorded when the network queued a
         #: transfer instead of starting it: ``"bus_contention"``,

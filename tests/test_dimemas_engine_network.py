@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.dimemas.engine import EventLoop
+from repro.dimemas.engine import ARRIVE, RELEASE, EventLoop
 from repro.dimemas.machine import MachineConfig
-from repro.dimemas.network import Network, Transfer
+from repro.dimemas.network import Network
+from repro.dimemas.replay import simulate
+from repro.trace.records import CpuBurst, ProcessTrace, Recv, Send, TraceSet
 
 
 class TestEventLoop:
@@ -62,125 +64,137 @@ class TestEventLoop:
         assert loop.executed == 3 and loop.pending == 0
 
 
-def make_net(loop, nranks=4, **over):
+    def test_typed_events_dispatch_to_handlers(self):
+        loop, out = EventLoop(), []
+        loop.handlers[RELEASE] = lambda arg: out.append(("release", arg))
+        loop.handlers[ARRIVE] = lambda arg: out.append(("arrive", arg))
+        loop.push(2e-6, ARRIVE, 7)
+        loop.push(1e-6, RELEASE, 7)
+        loop.at(1e-6, lambda: out.append("call"))
+        loop.run()
+        assert out == [("release", 7), "call", ("arrive", 7)]
+
+
+def make_net(loop, pairs, nranks=4, **over):
+    """A network over ``pairs`` = [(src, dst, size), ...] (pair ids =
+    list positions)."""
     cfg = MachineConfig(bandwidth_mbps=100.0, latency=10e-6, **over)
-    return Network(loop, nranks, cfg), cfg
+    src = [p[0] for p in pairs]
+    dst = [p[1] for p in pairs]
+    size = [p[2] for p in pairs]
+    return Network(loop, nranks, cfg, src=src, dst=dst, size=size), cfg
 
 
 class TestNetwork:
     def test_uncontended_transfer_timing(self):
         loop = EventLoop()
-        net, cfg = make_net(loop)
-        tr = Transfer(src=0, dst=1, size=1000)
-        times = {}
-        tr.on_injected(lambda t: times.__setitem__("inj", t))
-        tr.on_arrived(lambda t: times.__setitem__("arr", t))
-        loop.at(0.0, lambda: net.submit(tr))
+        net, cfg = make_net(loop, [(0, 1, 1000)])
+        loop.at(0.0, lambda: net.submit(0))
         loop.run()
-        assert times["inj"] == pytest.approx(10e-6)     # 1000 B / 100 MB/s
-        assert times["arr"] == pytest.approx(20e-6)     # + 10 us latency
+        assert net.inject[0] == pytest.approx(10e-6)     # 1000 B / 100 MB/s
+        assert net.arrival[0] == pytest.approx(20e-6)    # + 10 us latency
 
     def test_zero_size_costs_latency_only(self):
         loop = EventLoop()
-        net, _ = make_net(loop)
-        tr = Transfer(src=0, dst=1, size=0)
-        arr = []
-        tr.on_arrived(arr.append)
-        loop.at(0.0, lambda: net.submit(tr))
+        net, _ = make_net(loop, [(0, 1, 0)])
+        loop.at(0.0, lambda: net.submit(0))
         loop.run()
-        assert arr == [pytest.approx(10e-6)]
+        assert net.arrival == [pytest.approx(10e-6)]
 
     def test_self_message_is_instant(self):
         loop = EventLoop()
-        net, _ = make_net(loop)
-        tr = Transfer(src=2, dst=2, size=4096)
-        arr = []
-        tr.on_arrived(arr.append)
-        loop.at(0.0, lambda: net.submit(tr))
+        net, _ = make_net(loop, [(2, 2, 4096)])
+        loop.at(0.0, lambda: net.submit(0))
         loop.run()
-        assert arr == [pytest.approx(0.0)]
+        assert net.arrival == [pytest.approx(0.0)]
 
     def test_in_port_serializes_same_destination(self):
         loop = EventLoop()
-        net, _ = make_net(loop)
-        t1 = Transfer(src=0, dst=2, size=1000)
-        t2 = Transfer(src=1, dst=2, size=1000)
-        arr = {}
-        t1.on_arrived(lambda t: arr.__setitem__(1, t))
-        t2.on_arrived(lambda t: arr.__setitem__(2, t))
-        loop.at(0.0, lambda: (net.submit(t1), net.submit(t2)))
+        net, _ = make_net(loop, [(0, 2, 1000), (1, 2, 1000)])
+        loop.at(0.0, lambda: (net.submit(0), net.submit(1)))
         loop.run()
-        assert arr[1] == pytest.approx(20e-6)
-        assert arr[2] == pytest.approx(30e-6)  # queued 10 us on the in-port
+        assert net.arrival[0] == pytest.approx(20e-6)
+        assert net.arrival[1] == pytest.approx(30e-6)  # queued 10 us on the in-port
 
     def test_out_port_serializes_same_source(self):
         loop = EventLoop()
-        net, _ = make_net(loop)
-        t1 = Transfer(src=0, dst=1, size=1000)
-        t2 = Transfer(src=0, dst=2, size=1000)
-        arr = {}
-        t1.on_arrived(lambda t: arr.__setitem__(1, t))
-        t2.on_arrived(lambda t: arr.__setitem__(2, t))
-        loop.at(0.0, lambda: (net.submit(t1), net.submit(t2)))
+        net, _ = make_net(loop, [(0, 1, 1000), (0, 2, 1000)])
+        loop.at(0.0, lambda: (net.submit(0), net.submit(1)))
         loop.run()
-        assert sorted(arr.values()) == [pytest.approx(20e-6), pytest.approx(30e-6)]
+        assert sorted(net.arrival) == [pytest.approx(20e-6), pytest.approx(30e-6)]
 
     def test_single_bus_serializes_disjoint_pairs(self):
         loop = EventLoop()
-        net, _ = make_net(loop, buses=1)
-        t1 = Transfer(src=0, dst=1, size=1000)
-        t2 = Transfer(src=2, dst=3, size=1000)
-        arr = {}
-        t1.on_arrived(lambda t: arr.__setitem__(1, t))
-        t2.on_arrived(lambda t: arr.__setitem__(2, t))
-        loop.at(0.0, lambda: (net.submit(t1), net.submit(t2)))
+        net, _ = make_net(loop, [(0, 1, 1000), (2, 3, 1000)], buses=1)
+        loop.at(0.0, lambda: (net.submit(0), net.submit(1)))
         loop.run()
-        assert arr[1] == pytest.approx(20e-6) and arr[2] == pytest.approx(30e-6)
+        assert net.arrival[0] == pytest.approx(20e-6)
+        assert net.arrival[1] == pytest.approx(30e-6)
 
     def test_two_buses_allow_parallel_disjoint_pairs(self):
         loop = EventLoop()
-        net, _ = make_net(loop, buses=2)
-        t1 = Transfer(src=0, dst=1, size=1000)
-        t2 = Transfer(src=2, dst=3, size=1000)
-        arr = {}
-        t1.on_arrived(lambda t: arr.__setitem__(1, t))
-        t2.on_arrived(lambda t: arr.__setitem__(2, t))
-        loop.at(0.0, lambda: (net.submit(t1), net.submit(t2)))
+        net, _ = make_net(loop, [(0, 1, 1000), (2, 3, 1000)], buses=2)
+        loop.at(0.0, lambda: (net.submit(0), net.submit(1)))
         loop.run()
-        assert arr[1] == arr[2] == pytest.approx(20e-6)
+        assert net.arrival[0] == net.arrival[1] == pytest.approx(20e-6)
 
     def test_port_blocked_transfer_does_not_block_others(self):
         """FIFO with per-resource pass: a later transfer on free ports
         may start while the head waits for a busy port."""
         loop = EventLoop()
-        net, _ = make_net(loop, buses=10)
-        a = Transfer(src=0, dst=1, size=2000)   # occupies 0->1 for 20 us
-        b = Transfer(src=0, dst=2, size=1000)   # blocked on out-port of 0
-        c = Transfer(src=3, dst=2, size=1000)   # free to go
-        arr = {}
-        for key, t in (("a", a), ("b", b), ("c", c)):
-            t.on_arrived(lambda tt, key=key: arr.__setitem__(key, tt))
-        loop.at(0.0, lambda: (net.submit(a), net.submit(b), net.submit(c)))
+        net, _ = make_net(loop, [
+            (0, 1, 2000),   # a: occupies 0->1 for 20 us
+            (0, 2, 1000),   # b: blocked on out-port of 0
+            (3, 2, 1000),   # c: free to go
+        ], buses=10)
+        loop.at(0.0, lambda: (net.submit(0), net.submit(1), net.submit(2)))
         loop.run()
-        assert arr["a"] == pytest.approx(30e-6)
-        assert arr["c"] == pytest.approx(20e-6)   # went ahead of b
-        assert arr["b"] == pytest.approx(40e-6)
+        a, b, c = net.arrival
+        assert a == pytest.approx(30e-6)
+        assert c == pytest.approx(20e-6)   # went ahead of b
+        assert b == pytest.approx(40e-6)
 
     def test_waiters_after_completion_fire_immediately(self):
+        """A rank that waits on an already-arrived transfer does not
+        block: it continues at once, at its own clock."""
+        cfg = MachineConfig(bandwidth_mbps=100.0, latency=10e-6)
+        res = simulate(TraceSet([
+            ProcessTrace(0, [Send(peer=1, tag=0, size=0)]),
+            ProcessTrace(1, [CpuBurst(50e-6), Recv(peer=0, tag=0, size=0)]),
+        ]), cfg)
+        assert res.rank_end[1] == pytest.approx(50e-6)
+        assert res.time_in_state("Waiting a message", 1) == 0.0
+        got = [m.t_recv for m in res.messages]
+        assert got == [pytest.approx(10e-6)]    # arrived long before
+
+    def test_view_after_completion_reads_arrival(self):
         loop = EventLoop()
-        net, _ = make_net(loop)
-        tr = Transfer(src=0, dst=1, size=0)
-        loop.at(0.0, lambda: net.submit(tr))
+        net, _ = make_net(loop, [(0, 1, 0)])
+        loop.at(0.0, lambda: net.submit(0))
         loop.run()
-        got = []
-        tr.on_arrived(got.append)
-        assert got == [tr.arrival_time]
+        tr = net.transfer(0)
+        assert tr.arrived and [tr.arrival_time] == [net.arrival[0]]
+        assert net.transfer(0) is tr            # memoized per pair id
+
+    def test_view_reads_pair_and_timing(self):
+        loop = EventLoop()
+        net, _ = make_net(loop, [(0, 1, 1000)])
+        tr = net.transfer(0)
+        assert (tr.src, tr.dst, tr.size, tr.tag, tr.rendezvous) == (
+            0, 1, 1000, 0, False)
+        assert not tr.injected and tr.ready_time is None
+        loop.at(0.0, lambda: net.submit(0))
+        loop.run()
+        assert tr.ready_time == tr.start_time == 0.0
+        assert tr.injected and tr.inject_time == pytest.approx(10e-6)
+        with pytest.raises(AttributeError):
+            tr.arrival_time = 1.0
 
     def test_diagnostics(self):
         loop = EventLoop()
-        net, _ = make_net(loop, buses=2)
-        for (s, d) in ((0, 1), (2, 3)):
-            loop.at(0.0, lambda s=s, d=d: net.submit(Transfer(src=s, dst=d, size=1000)))
+        net, _ = make_net(loop, [(0, 1, 1000), (2, 3, 1000)], buses=2)
+        for pid in (0, 1):
+            loop.at(0.0, lambda pid=pid: net.submit(pid))
         loop.run()
         assert net.peak_active == 2
         assert net.busy_seconds == pytest.approx(20e-6)

@@ -211,13 +211,16 @@ class TestNonPerturbation:
 # ---------------------------------------------------------------------- #
 class TestClassify:
     def _transfer(self, **times):
-        from repro.dimemas.network import Transfer
-        tr = Transfer(src=1, dst=0, size=1000)
+        """A 1000-byte 1 -> 0 transfer view with the given timing."""
+        from repro.dimemas.engine import EventLoop
+        from repro.dimemas.network import Network
+        net = Network(EventLoop(), 2, MachineConfig(), src=[1], dst=[0],
+                      size=[1000])
+        column = {"send_time": net.send_time, "ready_time": net.ready,
+                  "start_time": net.start, "arrival_time": net.arrival}
         for k, v in times.items():
-            setattr(tr, k, v)
-        if tr.arrival_time is not None:
-            tr.arrived = True
-        return tr
+            column[k][0] = v
+        return net.transfer(0)
 
     def test_segments_cover_interval(self):
         tr = self._transfer(send_time=2.0, ready_time=3.0, start_time=4.0,

@@ -36,9 +36,9 @@ from repro.apps import get_app
 from repro.audit.certify import result_digest
 from repro.core.ideal import ideal_transform
 from repro.core.transform import OverlapConfig, overlap_transform
-from repro.dimemas.engine import EventLoop
+from repro.dimemas.engine import ARRIVE, INJECTED, RELEASE, EventLoop
 from repro.dimemas.machine import MachineConfig
-from repro.dimemas.network import Network, PerturbedNetwork, Transfer
+from repro.dimemas.network import Network, PerturbedNetwork
 from repro.dimemas.replay import simulate
 from repro.insight import InsightCollector, collect
 from repro.perturb import OutageWindow, PerturbationSchedule
@@ -57,33 +57,31 @@ class RescanNetwork(Network):
     start and keeps scanning when the bus pool is exhausted.
     """
 
-    def submit(self, transfer: Transfer) -> None:
+    def submit(self, pid: int) -> None:
         loop = self.loop
         now = loop.now
-        transfer.ready_time = now
-        if transfer.size == 0 or transfer.src == transfer.dst:
-            transfer.start_time = now
-            loop.at(now, lambda: transfer._fire_injected(loop.now))
-            lat = 0.0 if transfer.src == transfer.dst else self._latency
-            loop.at(now + lat, lambda: transfer._fire_arrived(loop.now))
+        self.ready[pid] = now
+        src, dst, size = self.src[pid], self.dst[pid], self.size[pid]
+        if size == 0 or src == dst:
+            self.start[pid] = now
+            loop.push(now, INJECTED, pid)
+            lat = 0.0 if src == dst else self._latency
+            loop.push(now + lat, ARRIVE, pid)
             return
-        if self._smp_possible and self.cfg.same_node(transfer.src, transfer.dst):
-            transfer.start_time = self.loop.now
-            copy = self.cfg.intra_transfer_seconds(transfer.size)
-            self.loop.after(copy, lambda: transfer._fire_injected(self.loop.now))
-            self.loop.after(
-                copy + self.cfg.intra_latency,
-                lambda: transfer._fire_arrived(self.loop.now),
-            )
+        if self._smp_possible and self.cfg.same_node(src, dst):
+            self.start[pid] = now
+            copy = self.cfg.intra_transfer_seconds(size)
+            loop.push(now + copy, INJECTED, pid)
+            loop.push(now + (copy + self.cfg.intra_latency), ARRIVE, pid)
             return
-        if not self._queue and self._resources_free(transfer):
-            self._start(transfer)
+        if not self._queue and self._resources_free(pid):
+            self._start(pid)
         else:
-            self._queue.append(transfer)
+            self._queue.append(pid)
             self._try_start()
-            if self.insight is not None and transfer.start_time is None:
+            if self.insight is not None and self.start[pid] is None:
                 self.insight.note_queued(
-                    now, transfer, self._queue_cause(transfer),
+                    now, self.transfer(pid), self._queue_cause(pid),
                     len(self._queue),
                 )
 
@@ -92,10 +90,10 @@ class RescanNetwork(Network):
         started_any = True
         while started_any and queue:
             started_any = False
-            for i, t in enumerate(queue):
-                if self._resources_free(t):
+            for i, pid in enumerate(queue):
+                if self._resources_free(pid):
                     del queue[i]
-                    self._start(t)
+                    self._start(pid)
                     started_any = True
                     break
 
@@ -142,8 +140,8 @@ class TestReplayIdentity:
         built = []
 
         class Spy(RescanNetwork):
-            def __init__(self, *args):
-                super().__init__(*args)
+            def __init__(self, *args, **pairs):
+                super().__init__(*args, **pairs)
                 built.append(self)
 
         with monkeypatch.context() as m:
@@ -177,13 +175,13 @@ class TestReplayIdentity:
 class _Recorded:
     """Records the order in which transfers start."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.started: list[Transfer] = []
+    def __init__(self, *args, **pairs):
+        super().__init__(*args, **pairs)
+        self.started: list[int] = []
 
-    def _start(self, t: Transfer) -> None:
-        self.started.append(t)
-        super()._start(t)
+    def _start(self, pid: int) -> None:
+        self.started.append(pid)
+        super()._start(pid)
 
 
 class RecordedNetwork(_Recorded, Network):
@@ -196,27 +194,24 @@ class RecordedRescanNetwork(_Recorded, RescanNetwork):
 
 def _assert_settled(net, loop):
     """No queued transfer has its bus, out-port and in-port all free."""
-    assert not any(net._resources_free(t) for t in net._queue), (
+    assert not any(net._resources_free(pid) for pid in net._queue), (
         f"unsettled queue at t={loop.now}")
 
 
 def _run_stream(cls, stream, nranks, cfg):
     loop = EventLoop()
-    net = cls(loop, nranks, cfg)
+    net = cls(loop, nranks, cfg, src=[src for _, src, _, _ in stream],
+              dst=[dst for _, _, dst, _ in stream],
+              size=[size for _, _, _, size in stream])
     net.insight = InsightCollector()
-    transfers = []
-    for tick, src, dst, size in stream:
-        tr = Transfer(src, dst, size)
-        transfers.append(tr)
-        loop.at(tick * US, lambda tr=tr: net.submit(tr))
+    for pid, (tick, _src, _dst, _size) in enumerate(stream):
+        loop.at(tick * US, lambda pid=pid: net.submit(pid))
     # Sample before every event, i.e. after the previous one.
     loop.SAMPLE_EVERY = 1
     loop.depth_sampler = lambda _depth: _assert_settled(net, loop)
     loop.run()
     _assert_settled(net, loop)
-    index = {id(t): k for k, t in enumerate(transfers)}
-    order = [index[id(t)] for t in net.started]
-    return transfers, order, net.insight
+    return net, net.started, net.insight
 
 
 @st.composite
@@ -246,8 +241,8 @@ class TestRandomStreams:
         old, old_order, old_ins = _run_stream(
             RecordedRescanNetwork, stream, nranks, cfg)
         assert new_order == old_order
-        assert [t.start_time for t in new] == [t.start_time for t in old]
-        assert [t.arrival_time for t in new] == [t.arrival_time for t in old]
+        assert new.start == old.start
+        assert new.arrival == old.arrival
         assert new_ins.occupancy == old_ins.occupancy
         assert list(new_ins.queue_cause.values()) == list(old_ins.queue_cause.values())
 
@@ -277,16 +272,22 @@ class TestPerturbedSettle:
         outage = PerturbationSchedule(
             outages=(OutageWindow(0.0, 50 * US, "stall"),))
         loop = EventLoop()
-        net = PerturbedNetwork(loop, 6, cfg, outage)
-        a, b, c = Transfer(0, 1, 100), Transfer(2, 3, 100), Transfer(4, 5, 100)
+        net = PerturbedNetwork(loop, 6, cfg, outage, src=[0, 2, 4],
+                               dst=[1, 3, 5], size=[100, 100, 100])
         order = []
-        for name, tr in (("a", a), ("b", b), ("c", c)):
-            tr.on_injected(lambda _t, name=name: order.append(name))
-        loop.at(10 * US, lambda: net.submit(a))
-        loop.at(10 * US, lambda: net.submit(b))
-        loop.at(50 * US, lambda: net.submit(c))
+        release = loop.handlers[RELEASE]
+
+        def injected(pid):
+            order.append("abc"[pid])
+            release(pid)
+
+        loop.handlers[RELEASE] = injected
+        loop.at(10 * US, lambda: net.submit(0))
+        loop.at(10 * US, lambda: net.submit(1))
+        loop.at(50 * US, lambda: net.submit(2))
         loop.run()
-        assert a.start_time == pytest.approx(50 * US)
-        assert b.start_time == pytest.approx(51 * US)
-        assert c.start_time == pytest.approx(52 * US)
+        a, b, c = net.start
+        assert a == pytest.approx(50 * US)
+        assert b == pytest.approx(51 * US)
+        assert c == pytest.approx(52 * US)
         assert order == ["a", "b", "c"]

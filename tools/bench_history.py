@@ -5,7 +5,10 @@ snapshot that is committed and overwritten in place — good for "what
 is the current number", useless for "when did this regress".  This
 module keeps the longitudinal record: :func:`append_history` stamps a
 benchmark document with the git revision and a UTC timestamp and
-appends it as one line to ``benchmarks/perf/HISTORY.jsonl``.
+appends it as one line to ``benchmarks/perf/HISTORY.jsonl``, together
+with a fingerprint of the host it ran on (:func:`host_fingerprint`:
+CPU count and model, Python and numpy versions) — timings from two
+different hosts are not comparable.
 
 Used two ways::
 
@@ -13,8 +16,9 @@ Used two ways::
     from bench_history import append_history
     append_history(doc, bench="replay")
 
-    # standalone, to log an existing snapshot:
-    python tools/bench_history.py benchmarks/perf/BENCH_replay.json
+    # standalone, to log an existing snapshot (``--note`` tags the
+    # line, e.g. which tree a before/after pair measured):
+    python tools/bench_history.py [--note TEXT] benchmarks/perf/BENCH_replay.json
 
 Lines are self-contained JSON objects, so the history is greppable and
 trivially loadable::
@@ -27,12 +31,14 @@ trivially loadable::
 from __future__ import annotations
 
 import json
+import os
+import platform
 import subprocess
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-__all__ = ["append_history", "git_sha"]
+__all__ = ["append_history", "git_sha", "host_fingerprint"]
 
 #: Default history file, next to the BENCH_*.json snapshots.
 HISTORY_PATH = (
@@ -54,17 +60,46 @@ def git_sha(cwd: str | Path | None = None) -> str:
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
+def _cpu_model() -> str:
+    """The CPU model name (Linux ``/proc/cpuinfo``), else a best guess."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine() or "unknown"
+
+
+def host_fingerprint() -> dict:
+    """What a timing depends on besides the code: CPUs and runtimes."""
+    try:
+        import numpy
+        numpy_version = numpy.__version__
+    except ImportError:
+        numpy_version = None
+    return {
+        "nproc": os.cpu_count(),
+        "cpu_model": _cpu_model(),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+    }
+
+
 def append_history(
     doc: dict,
     bench: str,
     history_path: str | Path | None = None,
+    note: str | None = None,
 ) -> Path:
     """Append one benchmark run to the history file; returns its path.
 
     ``doc`` is the full ``BENCH_*.json`` document; ``bench`` names the
     benchmark (``"replay"``, ``"grid"``, ...).  The line wraps the doc
-    with provenance — git sha and UTC timestamp — so regressions can
-    be bisected without relying on file mtimes.
+    with provenance — git sha, UTC timestamp and the host fingerprint —
+    so regressions can be bisected without relying on file mtimes, and
+    only same-host lines are compared.  ``note`` is stored verbatim.
     """
     path = Path(history_path) if history_path is not None else HISTORY_PATH
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -73,8 +108,11 @@ def append_history(
         "git_sha": git_sha(path.parent),
         "timestamp": datetime.now(timezone.utc).isoformat(
             timespec="seconds"),
+        "host": host_fingerprint(),
         "results": doc,
     }
+    if note is not None:
+        line["note"] = note
     with path.open("a") as fh:
         fh.write(json.dumps(line, sort_keys=True) + "\n")
     return path
@@ -85,12 +123,18 @@ def main(argv: list[str] | None = None) -> int:
     if not args or args[0] in ("-h", "--help"):
         print(__doc__, file=sys.stderr)
         return 0 if args else 2
+    note = None
+    if args[0] == "--note":
+        if len(args) < 3:
+            print(__doc__, file=sys.stderr)
+            return 2
+        note, args = args[1], args[2:]
     for snapshot in args:
         p = Path(snapshot)
         doc = json.loads(p.read_text())
         # BENCH_replay.json -> "replay"
         name = p.stem.replace("BENCH_", "").lower() or p.stem
-        out = append_history(doc, bench=name)
+        out = append_history(doc, bench=name, note=note)
         print(f"appended {p.name} ({name}) -> {out}", file=sys.stderr)
     return 0
 
